@@ -211,7 +211,7 @@ def geom_weighted_sum(a: int, b: int) -> int:
 @dataclass(frozen=True)
 class TotalsReport:
     """Closed-form totals for the bound N = (4^k_n - 1)/3 next to the
-    brute count of odd numbers in [1, N]."""
+    count of odd numbers in [1, N]."""
 
     k_n: int
     n: int
@@ -235,7 +235,7 @@ class TotalsReport:
 
 def totals(k_n: int) -> TotalsReport:
     """Evaluate T_o = (4^k - 3k - 1)/9, T_e = (4^k - 12k + 8)/18 and the
-    assembly T = (k-1) + 1 + T_o + T_e, then count odds in [1, N] directly."""
+    assembly T = (k-1) + 1 + T_o + T_e, then count the odds in [1, N]."""
     _require_positive_int(k_n, "k_n")
     if k_n < 2:
         raise ValueError("k_n must be > 1")
@@ -244,7 +244,7 @@ def totals(k_n: int) -> TotalsReport:
     t_odd = _exact_div(pow4 - 3 * k_n - 1, 9, "odd-power total")
     t_even = _exact_div(pow4 - 12 * k_n + 8, 18, "even-power total")
     t_total = (k_n - 1) + 1 + t_odd + t_even
-    brute = len(range(1, n + 1, 2))
+    brute = (n + 1) // 2  # odds in [1, n]; len(range(...)) overflows past 2^63
     return TotalsReport(
         k_n=k_n,
         n=n,

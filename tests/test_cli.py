@@ -127,10 +127,22 @@ def test_cycle_scan_ok(capsys):
 
 
 def test_cycle_scan_budget_too_small_fails(capsys):
-    # one step per start cannot close the loop, so the expected cycle is
-    # missing and the check reports failure
+    # one step per start settles no start above 1, so every one of them is
+    # undecided and the check reports failure
     code, _ = run_cli(capsys, "cycle-scan", "--bound", "100", "--max-steps", "1")
     assert code == 1
+
+
+def test_cycle_scan_undecided_starts_exit_one(capsys):
+    # start 7 needs 11 steps to drop below itself
+    code = main(["cycle-scan", "--bound", "1001", "--max-steps", "10", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == [{"members": [1, 4, 2]}]
+    assert "7, 15, 27" in captured.err
+    code, out = run_cli(capsys, "cycle-scan", "--bound", "1001", "--max-steps", "10")
+    assert code == 1
+    assert "undecided" in out and "7, 15, 27" in out
 
 
 def test_assumption_table_text(capsys):
@@ -176,6 +188,30 @@ def test_bad_value_exit_code(capsys):
     assert code == 2
     code, _ = run_cli(capsys, "totals", "--kmax", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-forward", "--bound", "1001", "--shards", "0"),
+        ("verify-forward", "--bound", "1001", "--max-steps", "0"),
+        ("tables", "--class", "odd", "--rows", "0", "--cols", "3"),
+        ("seq", "--start", "27", "--max-steps", "0"),
+        ("cycle-scan", "--bound", "1001", "--max-steps", "0"),
+    ],
+)
+def test_library_value_error_is_usage_error(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_totals_kmax_33_exits_zero(capsys):
+    code, out = run_cli(capsys, "totals", "--kmax", "33", "--format", "json")
+    assert code == 0
+    assert json.loads(out)[-1]["identityHolds"] is True
 
 
 def test_module_invocation():

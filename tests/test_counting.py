@@ -176,6 +176,18 @@ def test_totals_brute_count_is_direct():
     assert rep.brute_count == sum(1 for m in range(1, 86) if m % 2 == 1)
 
 
+@pytest.mark.parametrize("k", [33, 40])
+def test_totals_past_the_machine_word(k):
+    # N = (4^k - 1)/3 holds more than 2^63 odds from k = 33 on
+    rep = totals(k)
+    odds = range(1, rep.n + 1, 2)
+    assert odds[-1] == rep.n  # N is odd
+    assert rep.brute_count == odds.index(rep.n) + 1
+    assert rep.t_total == rep.brute_count
+    assert rep.identity_holds
+    assert totals_by_summation(k) == (rep.t_odd, rep.t_even)
+
+
 def test_kj_odd_generates_nineteen():
     # p=10 (N=19): row 29 reaches 19 with a single halving
     got = kj_odd(10, 5)

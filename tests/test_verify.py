@@ -13,8 +13,14 @@ from collatzkit import (
     verify_forward,
 )
 from collatzkit.verify import (
+    _RETURNED,
+    POOL_MIN_BOUND,
+    SIEVE_MAX_DEPTH,
     _block_bounds,
     _descent_steps,
+    _settle,
+    _sieve,
+    _sweep_block,
     assumption_bold_values,
     render_assumption_table,
     reproduce_assumption_table,
@@ -59,6 +65,67 @@ def test_descent_steps_budget():
     assert _descent_steps(7, 10) is None
 
 
+def oracle_sweep(lo, hi, max_steps):
+    # (verified, failures, max_steps_used) of the odd starts in [lo, hi),
+    # one literal walk per start
+    verified, failures, max_used = 0, [], 0
+    for n in range(lo, hi, 2):
+        got = _descent_steps(n, max_steps)
+        if got is None:
+            failures.append((n, "maxStepsExceeded"))
+        else:
+            verified += 1
+            max_used = max(max_used, got)
+    return verified, failures, max_used
+
+
+@pytest.mark.parametrize("max_steps", [1, 3, 6, 20, 100_000])
+def test_sieved_sweep_matches_oracle_to_1e6(max_steps):
+    report = verify_forward(10**6, max_steps, shards=1)
+    got = (report.verified, list(report.failures), report.max_steps_used)
+    assert got == oracle_sweep(1, 10**6 + 1, max_steps)
+
+
+@pytest.mark.parametrize("max_steps", [1, 3, 6, 30, 50, 100_000])
+def test_sieved_block_matches_oracle_at_every_depth(max_steps):
+    expected = oracle_sweep(1, 20_001, max_steps)
+    for depth in range(1, SIEVE_MAX_DEPTH + 1):
+        assert _sweep_block((1, 20_001, max_steps, depth)) == expected, depth
+    # a block that starts past 1 and ends off any class boundary
+    for depth in (5, 12, SIEVE_MAX_DEPTH):
+        assert _sweep_block((20_003, 31_337, max_steps, depth)) == oracle_sweep(20_003, 31_337, max_steps)
+
+
+def test_sieve_thresholds_are_exact():
+    exits, survivors = (list(zip(*table)) for table in _sieve(SIEVE_MAX_DEPTH))
+    assert len(survivors) == 2114  # of the 2^15 odd classes mod 2^16
+    for mod, r, steps, a_min in exits:
+        n = a_min * mod + r
+        # the first start past the threshold descends at the class's count,
+        # the start just below it (other than 1, settled by convention)
+        # does not descend by then
+        assert _descent_steps(n, 10**4) == steps
+        if n - mod > 1:
+            assert _descent_steps(n - mod, 10**4) > steps
+    # only the class of 1 mod 4 has a threshold above its residue, 5; every
+    # other class descends from its residue on
+    assert [(mod, r, a_min) for mod, r, _, a_min in exits if a_min] == [(4, 1, 1)]
+    # around the largest residue of a sieved class, at the class's own count
+    top = max(r for _, r, _, _ in exits)
+    assert top == 65_439
+    steps = next(s for _, r, s, _ in exits if r == top)
+    lo, hi = top - 4000, top + 2**17 + 1
+    for max_steps in (steps - 1, steps, 100_000):
+        assert _sweep_block((lo, hi, max_steps, SIEVE_MAX_DEPTH)) == oracle_sweep(lo, hi, max_steps)
+
+
+def test_settle_finds_the_terminal_cycle():
+    # the chain from 1 comes back to 1 after 1 -> 4 -> 2 -> 1
+    assert _settle(1, 4, 1, 3) == _RETURNED
+    assert _settle(1, 4, 1, 2) is None
+    assert _settle(3, 10, 1, 100) == 6
+
+
 def test_verify_forward_19():
     report = verify_forward(19, 10**3)
     assert report.verified == 10
@@ -84,13 +151,14 @@ def test_verify_forward_records_budget_failures():
 
 
 def test_verify_forward_deterministic_across_shards():
-    reports = [verify_forward(10**5, shards=s) for s in (1, 4, 16)]
-    base = reports[0]
-    for other in reports[1:]:
-        assert other.verified == base.verified
-        assert other.failures == base.failures
-        assert other.max_steps_used == base.max_steps_used
-    assert base.verified == (10**5 + 1) // 2
+    # above POOL_MIN_BOUND, so more than one shard runs in a pool
+    bound = POOL_MIN_BOUND + 1001
+    for max_steps in (20, 10_000):
+        reports = [verify_forward(bound, max_steps, shards=s).to_dict() for s in (1, 3, 4, 16)]
+        for r in reports:
+            del r["wall_time"], r["shards"]
+        assert all(r == reports[0] for r in reports[1:])
+    assert reports[0]["verified"] == (bound + 1) // 2
 
 
 def test_block_bounds_cover_all_odds():
@@ -104,18 +172,30 @@ def test_block_bounds_cover_all_odds():
 
 
 def test_cycle_scan_finds_only_terminal_cycle():
-    cycles = cycle_scan(10**4)
+    cycles = cycle_scan(10**4).cycles
     assert len(cycles) == 1
     assert cycles[0].members == (1, 4, 2)
 
 
+@pytest.mark.parametrize("bound", [20_001, POOL_MIN_BOUND + 1])
+def test_cycle_scan_undecided_matches_oracle(bound):
+    for max_steps in (1, 6, 20, 100):
+        report = cycle_scan(bound, max_steps)
+        undecided = [n for n in range(3, bound + 1, 2) if _descent_steps(n, max_steps) is None]
+        assert list(report.undecided) == undecided
+        assert [c.members for c in report.cycles] == [(1, 4, 2)]
+    report = cycle_scan(bound)
+    assert report.undecided == ()
+    assert [c.members for c in report.cycles] == [(1, 4, 2)]
+
+
 def test_cycle_scan_bound_one():
-    cycles = cycle_scan(1)
+    cycles = cycle_scan(1).cycles
     assert [c.members for c in cycles] == [(1, 4, 2)]
 
 
 def test_cycle_product_is_one():
-    (cycle,) = cycle_scan(100)
+    (cycle,) = cycle_scan(100).cycles
     assert chain_product(closed_chain(cycle.members)) == 1
 
 
