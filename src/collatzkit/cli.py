@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cycle-scan", help="scan for closed chains")
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--max-steps", type=int, default=100_000)
+    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     add_format(p)
     p.set_defaults(func=_cmd_cycle_scan)
 

@@ -10,12 +10,16 @@ splits the odd numbers into three residue classes mod 6:
 
 The pair (n2, x) = (1, 2) maps 1 onto itself through the terminal cycle;
 it is a legitimate table cell but is excluded from tree expansion.
+
+Every odd n1 has exactly one parent, its odd successor, since x must be
+the 2-adic valuation of 3*n1 + 1. With the self pair excluded, expansion
+from 1 is therefore a tree: inverse_bfs walks it with a plain stack and
+needs no visited set.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -114,21 +118,6 @@ def predecessors(n2: int, x_max: int) -> list[PredecessorRecord]:
     return out
 
 
-def _predecessor_values(n2: int, x_max: int, value_cap: int) -> Iterator[int]:
-    # int-only expansion for BFS: ascending n1, stops at the cap, skips (1, 2)
-    x0 = _admissible_x_start(n2)
-    if x0 is None:
-        return
-    m = n2 << x0
-    for x in range(x0, x_max + 1, 2):
-        n1 = (m - 1) // 3
-        if n1 > value_cap:
-            return
-        if (n2, x) != SELF_ITERATION:
-            yield n1
-        m <<= 2
-
-
 @dataclass(frozen=True)
 class PredecessorTable:
     """Rows of predecessor records for one residue class, as in the tables
@@ -217,31 +206,39 @@ def uniqueness_check(bound: int) -> UniquenessReport:
 
     Distinct (n2, x) pairs can never produce the same n1 (both n2 odd, so
     2^(x1-x2) = n2_2/n2_1 forces x1 = x2); this enumerates and checks
-    instead of trusting the argument.
+    instead of trusting the argument. Every n1 is odd, so one seen-byte per
+    odd number up to bound finds the collisions; only when there is one
+    does a second pass gather the sources of each colliding n1, in
+    enumeration order.
     """
     _require_positive_int(bound, "bound")
-    seen: dict[int, tuple[int, int]] = {}
-    collisions: dict[int, list[tuple[int, int]]] = {}
+    seen = bytearray((bound + 1) // 2)
+    colliding = set()
     count = 0
-    for n2, x, n1 in _records_up_to(bound):
+    for _, _, n1 in _records_up_to(bound):
         count += 1
-        if n1 in seen:
-            collisions.setdefault(n1, [seen[n1]]).append((n2, x))
+        if seen[n1 >> 1]:
+            colliding.add(n1)
         else:
-            seen[n1] = (n2, x)
-    violations = tuple(
-        (n1, tuple(sources)) for n1, sources in sorted(collisions.items())
-    )
+            seen[n1 >> 1] = 1
+    sources: dict[int, list[tuple[int, int]]] = {n1: [] for n1 in sorted(colliding)}
+    if sources:
+        for n2, x, n1 in _records_up_to(bound):
+            if n1 in sources:
+                sources[n1].append((n2, x))
+    violations = tuple((n1, tuple(pairs)) for n1, pairs in sources.items())
     return UniquenessReport(bound=bound, records_checked=count, violations=violations)
 
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Which odd numbers <= bound the inverse expansion from 1 visited.
+    """Which odd numbers <= bound the inverse tree walk from 1 visited.
 
-    The inverse tree is infinite, so expansion is truncated explicitly:
-    no value above value_cap is ever enqueued and no exponent above x_max
-    is tried. Anything unreached may simply be a truncation artifact.
+    The inverse tree is infinite, so the walk is truncated explicitly: no
+    value above value_cap is ever pushed and no exponent above x_max is
+    tried. Anything unreached may simply be a truncation artifact.
+    nodes_expanded counts every value of the truncated tree, those above
+    bound included.
     """
 
     bound: int
@@ -264,29 +261,46 @@ class CoverageReport:
 
 
 def inverse_bfs(bound: int, value_cap: int, x_max: int) -> CoverageReport:
-    """Breadth-first inverse expansion from 1 under the two caps."""
+    """Depth-first inverse expansion from 1 under the two caps.
+
+    The name is historical: the walk is depth first, since the order in
+    which the tree is visited changes none of the report.
+    """
     _require_positive_int(bound, "bound")
     _require_positive_int(value_cap, "value_cap")
     _require_positive_int(x_max, "x_max")
     if value_cap < bound:
         raise ValueError(f"value_cap {value_cap} must be >= bound {bound}")
-    visited = {1}
-    frontier = deque([1])
+    # No visited set: the odd n1 has exactly one parent, its odd successor
+    # (3*n1 + 1) / 2^x with x = v2(3*n1 + 1), because the forward map is a
+    # function. Skipping the self pair (1, 2) leaves 1 without a parent, so
+    # what is reached from 1 is a tree and no value is reached twice.
+    reached = bytearray((bound + 1) // 2)  # odd v <= bound at index v >> 1
+    stack = [1]
     expanded = 0
-    while frontier:
-        n2 = frontier.popleft()
+    while stack:
+        n2 = stack.pop()
         expanded += 1
-        for n1 in _predecessor_values(n2, x_max, value_cap):
-            if n1 not in visited:
-                visited.add(n1)
-                frontier.append(n1)
-    reached = frozenset(v for v in visited if v <= bound)
-    unreached = frozenset(v for v in range(1, bound + 1, 2) if v not in visited)
+        if n2 <= bound:
+            reached[n2 >> 1] = 1
+        r = n2 % 3
+        if not r:
+            continue
+        # the row of n2: x from its smallest admissible exponent in steps
+        # of 2, and n1 = (2^x * n2 - 1) / 3 grows as n1 -> 4*n1 + 1
+        x = 3 - r
+        n1 = ((n2 << x) - 1) // 3
+        if n1 == n2:  # only the self pair (1, 2)
+            n1, x = 5, 4
+        while n1 <= value_cap and x <= x_max:
+            stack.append(n1)
+            n1 = 4 * n1 + 1
+            x += 2
     return CoverageReport(
         bound=bound,
         value_cap=value_cap,
         x_max=x_max,
-        reached=reached,
-        unreached=unreached,
+        reached=frozenset(2 * i + 1 for i, hit in enumerate(reached) if hit),
+        unreached=frozenset(2 * i + 1 for i, hit in enumerate(reached) if not hit),
         nodes_expanded=expanded,
     )

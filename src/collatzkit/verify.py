@@ -26,11 +26,10 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .core import step
+from .core import DEFAULT_MAX_STEPS, step
 from .counting import totals, TotalsReport
 from .ranges import odd_range_candidate
 
-DEFAULT_SWEEP_MAX_STEPS = 10_000
 # Deeper tables sieve more starts but cost more per block to scan; 2^16
 # leaves 2114 of its 32768 odd classes to walk, in tables of about 0.1 MB.
 SIEVE_MAX_DEPTH = 16
@@ -282,7 +281,7 @@ def _sweep(bound: int, max_steps: int, shards: int) -> tuple[int, list[tuple[int
 
 def verify_forward(
     bound: int,
-    max_steps: int = DEFAULT_SWEEP_MAX_STEPS,
+    max_steps: int = DEFAULT_MAX_STEPS,
     shards: int | None = None,
 ) -> VerifyReport:
     """Confirm by descent every odd start <= bound.
@@ -348,7 +347,7 @@ class CycleScanReport:
         return not self.undecided
 
 
-def cycle_scan(bound: int, max_steps: int = 100_000) -> CycleScanReport:
+def cycle_scan(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> CycleScanReport:
     """Find every cycle with minimum element <= bound.
 
     A cycle never dips below its minimum, and that minimum is odd (an even

@@ -194,6 +194,8 @@ CAP_1E6_GAPS = frozenset(
     {4255, 4591, 5673, 6121, 6383, 6471, 6887, 8161, 8191, 8511, 9183, 9575, 9663, 9707}
 )
 FULL_COVERAGE_CAP = 9_038_141
+# every value of the inverse tree truncated at FULL_COVERAGE_CAP and x <= 60
+FULL_COVERAGE_NODES = 2_683_277
 
 
 def chain_caps(n: int, max_odd_steps: int = 10_000) -> tuple[int, int]:
@@ -232,6 +234,7 @@ def test_criterion_10_inverse_coverage():
     exact_gaps = base.unreached == predicted
     stable = base.reached == doubled.reached
     full_coverage = full.unreached == frozenset()
+    ok &= full.nodes_expanded == FULL_COVERAGE_NODES
     ok &= exact_gaps and stable and full_coverage and elapsed < 60.0
     missing = sorted(base.unreached)
     report(
@@ -245,5 +248,6 @@ def test_criterion_10_inverse_coverage():
     assert ok, (
         f"unreached at cap 1e6: {missing}, oracle predicts {sorted(predicted)}; "
         f"reached set stable when caps double: {stable}; "
-        f"unreached at cap {full_cap}: {sorted(full.unreached)}"
+        f"unreached at cap {full_cap}: {sorted(full.unreached)}; "
+        f"nodes expanded at cap {full_cap}: {full.nodes_expanded}"
     )

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from collatzkit.cli import main
+from collatzkit import DEFAULT_MAX_STEPS
+from collatzkit.cli import build_parser, main
 
 TABLE2_CSV = """n2,x,n1,class,generates
 5,1,3,multiple-of-three,false
@@ -124,6 +125,14 @@ def test_cycle_scan_ok(capsys):
     code, out = run_cli(capsys, "cycle-scan", "--bound", "100", "--format", "json")
     assert code == 0
     assert json.loads(out) == [{"members": [1, 4, 2]}]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["seq", "--start", "27"], ["verify-forward", "--bound", "9"], ["cycle-scan", "--bound", "9"]],
+)
+def test_step_budget_defaults_to_the_library_default(argv):
+    assert build_parser().parse_args(argv).max_steps == DEFAULT_MAX_STEPS
 
 
 def test_cycle_scan_budget_too_small_fails(capsys):

@@ -1,6 +1,7 @@
-"""Inverse recurrence: classification, predecessor records, tables, BFS."""
+"""Inverse recurrence: classification, predecessor records, tables, tree walk."""
 
 import functools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from collatzkit import (
     SubsetTag,
     classify,
     generate_table,
+    inverse,
     inverse_bfs,
     odd_successor,
     predecessor_of,
@@ -155,6 +157,23 @@ def test_uniqueness_counts_records():
     assert report.records_checked == len(brute)
 
 
+def test_uniqueness_reports_every_collision(monkeypatch):
+    # no real record collides, so feed the check records that do: 5 from
+    # three sources, 9 from two, everything else once
+    records = [
+        (5, 1, 3), (1, 4, 5), (7, 2, 9), (11, 1, 7), (99, 3, 5),
+        (13, 2, 17), (17, 1, 11), (23, 3, 5), (43, 1, 9),
+    ]
+    monkeypatch.setattr(inverse, "_records_up_to", lambda bound: iter(records))
+    report = uniqueness_check(17)
+    assert report.records_checked == 9
+    assert report.violations == (
+        (5, ((1, 4), (99, 3), (23, 3))),
+        (9, ((7, 2), (43, 1))),
+    )
+    assert not report.ok
+
+
 def test_duality_exhaustive_small():
     # every record inverts through odd_successor, n1 <= 2000
     for n1 in range(1, 2001, 2):
@@ -233,6 +252,63 @@ def test_coverage_partition():
     union = report.reached | report.unreached
     assert union == set(range(1, 100, 2))
     assert not (report.reached & report.unreached)
+
+
+def literal_bfs(bound, value_cap, x_max):
+    """Breadth-first expansion from 1 with a visited set, written out.
+
+    Tries every x in 1..x_max against 2^x * n2 = 1 mod 3 and stops a row
+    once n1 = (2^x * n2 - 1) / 3 passes value_cap. Returns the reached and
+    unreached odds up to bound and the number of nodes expanded.
+    """
+    visited = {1}
+    frontier = deque([1])
+    expanded = 0
+    while frontier:
+        n2 = frontier.popleft()
+        expanded += 1
+        for x in range(1, x_max + 1):
+            m = n2 * 2**x
+            if m > 3 * value_cap + 1:
+                break
+            n1 = (m - 1) // 3
+            if m % 3 == 1 and (n2, x) != (1, 2) and n1 not in visited:
+                visited.add(n1)
+                frontier.append(n1)
+    reached = {v for v in visited if v <= bound}
+    return reached, set(range(1, bound + 1, 2)) - reached, expanded
+
+
+@pytest.mark.parametrize(
+    "bound,value_cap,x_max",
+    [
+        (1, 1, 1),
+        (1, 1, 2),
+        (1, 5, 4),
+        (99, 99, 1),
+        (99, 99, 2),
+        (99, 99, 60),
+        (999, 10**4, 1),
+        (999, 10**4, 2),
+        (2001, 10**5, 60),
+        (10**4, 10**4, 60),
+        (10**4, 10**5, 8),
+        (10**4, 10**6, 8),
+        (10**4, 10**6, 14),
+        (10**4, 10**6, 60),
+    ],
+)
+def test_inverse_bfs_matches_literal_bfs(bound, value_cap, x_max):
+    report = inverse_bfs(bound, value_cap, x_max)
+    reached, unreached, expanded = literal_bfs(bound, value_cap, x_max)
+    assert report.reached == reached
+    assert report.unreached == unreached
+    assert report.nodes_expanded == expanded
+
+
+@pytest.mark.parametrize("x_max,nodes", [(60, 297_714), (14, 297_100)])
+def test_inverse_bfs_node_counts(x_max, nodes):
+    assert inverse_bfs(10**4, 10**6, x_max).nodes_expanded == nodes
 
 
 def chain_caps(n, max_odd_steps=10_000):

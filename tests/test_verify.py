@@ -1,10 +1,12 @@
 """Brute-force harness: sweeps, cycle scan, table reproduction, cross-checks."""
 
+import inspect
 import time
 
 import pytest
 
 from collatzkit import (
+    DEFAULT_MAX_STEPS,
     chain_product,
     closed_chain,
     cross_check_totals,
@@ -137,6 +139,11 @@ def test_verify_forward_trivial():
     assert report.verified == 1
     assert report.failures == ()
     assert report.max_steps_used == 0
+
+
+def test_sweeps_share_one_default_budget():
+    for sweep in (verify_forward, cycle_scan):
+        assert inspect.signature(sweep).parameters["max_steps"].default == DEFAULT_MAX_STEPS
 
 
 def test_verify_forward_records_budget_failures():
