@@ -7,13 +7,11 @@ from .core import (
     Parity,
     Step,
     Trajectory,
-    TrajectoryStats,
     chain_product,
     closed_chain,
     odd_successor,
     step,
     trajectory,
-    trajectory_stats,
     v2,
 )
 from .counting import (

@@ -39,16 +39,17 @@ def _usage(message: str) -> int:
 
 def _cmd_seq(args: argparse.Namespace) -> int:
     t = trajectory(args.start, args.max_steps)
+    steps = len(t.values) - 1
     info = {
         "start": t.start,
         "terminated": t.terminated,
-        "steps": len(t.steps),
+        "steps": steps,
         "even_steps": t.even_steps,
         "odd_steps": t.odd_steps,
         "peak": t.peak,
         "values": list(t.values),
     }
-    if t.steps:
+    if steps:
         prod = chain_product(t)
         info["chain_product"] = f"{prod.numerator}/{prod.denominator}"
     if args.format == "json":
@@ -56,7 +57,7 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     else:
         print(" -> ".join(str(v) for v in t.values))
         print(
-            f"steps={len(t.steps)} even={t.even_steps} odd={t.odd_steps} "
+            f"steps={steps} even={t.even_steps} odd={t.odd_steps} "
             f"peak={t.peak} terminated={t.terminated}"
         )
         if "chain_product" in info:

@@ -9,7 +9,7 @@ exact rationals; no floating point enters the forward dynamics.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 DEFAULT_MAX_STEPS = 100_000
@@ -54,8 +54,19 @@ def odd_successor(n: int) -> tuple[int, int]:
     """
     _require_odd(n)
     w = 3 * n + 1
-    x = (w & -w).bit_length() - 1
+    x = v2(w)
     return w >> x, x
+
+
+def _require_chain(values: tuple[int, ...]) -> None:
+    """The one check of the step rule: values[0] is a positive int and
+    every later value is the image of the one before it."""
+    if not values:
+        raise ValueError("a chain has at least one value")
+    _require_positive_int(values[0], "start")
+    for a, b in zip(values, values[1:]):
+        if b != (a // 2 if a % 2 == 0 else 3 * a + 1):
+            raise ValueError(f"not a valid step: {a} -> {b}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +77,7 @@ class Step:
     after: int
 
     def __post_init__(self) -> None:
-        if self.after != step(self.before):
-            raise ValueError(f"not a valid step: {self.before} -> {self.after}")
+        _require_chain((self.before, self.after))
 
     @property
     def parity(self) -> Parity:
@@ -81,52 +91,46 @@ class Step:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A forward chain recorded step by step.
+    """A forward chain: its values, each the rule's image of the one before.
 
     Step counts follow the open-chain convention: the final element makes
-    no step, so even_steps + odd_steps == len(steps), not the number of
-    elements. A chain built around a cycle (first == last) is fine too;
-    its step counts then cover every element once.
+    no step, so even_steps + odd_steps == len(values) - 1. A chain built
+    around a cycle (first == last) is fine too; its step counts then cover
+    every element once.
     """
 
-    start: int
-    steps: tuple[Step, ...]
-    terminated: bool
+    values: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        _require_chain(self.values)
 
     @property
-    def even_steps(self) -> int:
-        return sum(1 for s in self.steps if s.parity is Parity.EVEN)
-
-    @property
-    def odd_steps(self) -> int:
-        return sum(1 for s in self.steps if s.parity is Parity.ODD)
+    def start(self) -> int:
+        return self.values[0]
 
     @property
     def last(self) -> int:
-        return self.steps[-1].after if self.steps else self.start
+        return self.values[-1]
 
     @property
-    def values(self) -> tuple[int, ...]:
-        return (self.start,) + tuple(s.after for s in self.steps)
+    def terminated(self) -> bool:
+        return self.values[-1] == 1
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        return tuple(Step(a, b) for a, b in zip(self.values, self.values[1:]))
+
+    @property
+    def even_steps(self) -> int:
+        return sum(1 for v in self.values[:-1] if v % 2 == 0)
+
+    @property
+    def odd_steps(self) -> int:
+        return len(self.values) - 1 - self.even_steps
 
     @property
     def peak(self) -> int:
         return max(self.values)
-
-
-@dataclass(frozen=True)
-class TrajectoryStats:
-    """Counting-only view of a forward chain: no step storage.
-
-    Memory stays O(1) regardless of chain length; sweeps that only need
-    (e, o, peak) use this instead of a full Trajectory.
-    """
-
-    start: int
-    even_steps: int
-    odd_steps: int
-    peak: int
-    terminated: bool
 
 
 def trajectory(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> Trajectory:
@@ -137,52 +141,39 @@ def trajectory(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> Trajectory:
     """
     _require_positive_int(n)
     _require_positive_int(max_steps, "max_steps")
-    steps: list[Step] = []
+    values = [n]
     v = n
-    while v != 1 and len(steps) < max_steps:
-        w = step(v)
-        steps.append(Step(v, w))
-        v = w
-    return Trajectory(start=n, steps=tuple(steps), terminated=v == 1)
-
-
-def trajectory_stats(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> TrajectoryStats:
-    """Like trajectory(), but keeps only (e, o, peak, terminated)."""
-    _require_positive_int(n)
-    _require_positive_int(max_steps, "max_steps")
-    e = o = 0
-    peak = v = n
-    while v != 1 and e + o < max_steps:
-        if v % 2 == 0:
-            v //= 2
-            e += 1
-        else:
-            v = 3 * v + 1
-            o += 1
-        if v > peak:
-            peak = v
-    return TrajectoryStats(start=n, even_steps=e, odd_steps=o, peak=peak, terminated=v == 1)
+    for _ in range(max_steps):
+        if v == 1:
+            break
+        v = v // 2 if v % 2 == 0 else 3 * v + 1
+        values.append(v)
+    return Trajectory(tuple(values))
 
 
 def chain_product(t: Trajectory) -> Fraction:
     """Exact product of the per-step factors of a nonempty chain.
 
-    Telescopes to last/first: each factor is after/before and consecutive
-    steps share their endpoint. For a closed chain (first == last) the
-    product is exactly 1.
+    Each factor is taken as the rule gives it, (3v+1)/v for odd v and 1/2
+    for even v, into one numerator and one denominator reduced once. The
+    product telescopes to last/first only because every stored value is
+    the image of the one before; for a closed chain (first == last) it is
+    exactly 1.
     """
-    if not t.steps:
+    if len(t.values) < 2:
         raise ValueError("chain product of an empty trajectory is undefined")
-    prod = Fraction(1)
-    for s in t.steps:
-        prod *= s.factor
-    return prod
+    num = den = 1
+    halvings = 0
+    for v in t.values[:-1]:
+        if v % 2 == 0:
+            halvings += 1
+        else:
+            num *= 3 * v + 1
+            den *= v
+    return Fraction(num, den << halvings)
 
 
 def closed_chain(members: tuple[int, ...] | list[int]) -> Trajectory:
     """Build the one-loop trajectory around a cycle, first member repeated."""
-    if not members:
-        raise ValueError("a closed chain needs at least one member")
-    loop = list(members) + [members[0]]
-    steps = tuple(Step(a, b) for a, b in zip(loop, loop[1:]))
-    return Trajectory(start=members[0], steps=steps, terminated=members[0] == 1)
+    loop = tuple(members)
+    return Trajectory(loop + loop[:1])

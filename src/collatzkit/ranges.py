@@ -67,15 +67,12 @@ def _even_branch(p: int) -> EvenBranch:
 
 def odd_range_candidate(n: int) -> int:
     """Candidate bound from the odd-power rows: 3p-1 or 3p-4 by parity of p."""
-    p = _p_of(n)
-    return 3 * p - _odd_branch(p).a_const
+    return range_step(n).n_odd
 
 
 def even_range_candidate(n: int) -> int:
     """Candidate bound from the even-power rows: (4N - C)/3, C by p mod 3."""
-    p = _p_of(n)
-    c = _even_branch(p).c_const
-    return _exact_div(4 * n - c, 3, "even-range candidate")
+    return range_step(n).n_even
 
 
 @dataclass(frozen=True)

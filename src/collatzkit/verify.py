@@ -26,7 +26,7 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .core import DEFAULT_MAX_STEPS, step
+from .core import DEFAULT_MAX_STEPS, _require_chain, step
 from .counting import totals, TotalsReport
 from .ranges import odd_range_candidate
 
@@ -311,13 +311,9 @@ class CycleRecord:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("a cycle has at least one member")
+        _require_chain(self.members + self.members[:1])
         if len(set(self.members)) != len(self.members):
             raise ValueError("cycle members must be distinct")
-        for a, b in zip(self.members, self.members[1:] + self.members[:1]):
-            if step(a) != b:
-                raise ValueError(f"not a cycle: step({a}) != {b}")
 
     @classmethod
     def from_minimum(cls, n: int) -> "CycleRecord":

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatzkit import (
+    CycleRecord,
     Parity,
     Step,
     Trajectory,
@@ -16,7 +17,6 @@ from collatzkit import (
     odd_successor,
     step,
     trajectory,
-    trajectory_stats,
     v2,
 )
 
@@ -106,18 +106,6 @@ def test_trajectory_respects_max_steps():
     assert len(t.steps) == 10
 
 
-def test_trajectory_stats_matches_full_trajectory():
-    for n in (1, 7, 27, 97, 703):
-        t = trajectory(n)
-        s = trajectory_stats(n)
-        assert (s.even_steps, s.odd_steps, s.peak, s.terminated) == (
-            t.even_steps,
-            t.odd_steps,
-            t.peak,
-            t.terminated,
-        )
-
-
 def test_step_factors():
     up = Step(3, 10)
     down = Step(10, 5)
@@ -130,8 +118,25 @@ def test_step_factors():
 
 
 def test_chain_product_two_steps():
-    t = Trajectory(start=3, steps=(Step(3, 10), Step(10, 5)), terminated=False)
+    t = Trajectory((3, 10, 5))
     assert chain_product(t) == Fraction(5, 3)
+
+
+def test_hand_built_chains_must_follow_the_rule():
+    for build, values in (
+        (Trajectory, (3, 9)),
+        (Trajectory, (0,)),
+        (Trajectory, ()),
+        (closed_chain, (1, 2)),
+        (CycleRecord, (1, 2, 4)),
+        (CycleRecord, ()),
+    ):
+        with pytest.raises(ValueError):
+            build(values)
+    with pytest.raises(ValueError):
+        Step(0, 0)
+    assert not Trajectory((3, 10, 5)).terminated
+    assert closed_chain((1, 4, 2)).terminated
 
 
 def test_chain_product_of_terminal_cycle_is_one():
@@ -159,7 +164,7 @@ def test_telescoping_bulk():
         n = rng.randrange(1, 10**6 + 1)
         t = trajectory(n)
         assert t.terminated
-        if t.steps:
+        if len(t.values) > 1:
             assert chain_product(t) == Fraction(t.last, t.start)
 
 
@@ -167,7 +172,7 @@ def test_telescoping_bulk():
 @given(st.integers(min_value=1, max_value=10**9))
 def test_telescoping_property(n):
     t = trajectory(n)
-    if t.steps:
+    if len(t.values) > 1:
         assert chain_product(t) == Fraction(t.last, t.start)
 
 
