@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import _require_odd, _require_positive_int
 
@@ -61,22 +61,52 @@ class PredecessorRecord:
     n2: int
     x: int
     n1: int
-    n1_class: SubsetClass
-    generates: bool
+
+    @property
+    def n1_class(self) -> SubsetClass:
+        return classify(self.n1)
+
+    @property
+    def generates(self) -> bool:
+        return self.n1 % 3 != 0
 
     @property
     def self_loop(self) -> bool:
         return (self.n2, self.x) == SELF_ITERATION
 
     def to_dict(self) -> dict:
+        c = classify(self.n1)
         return {
             "n2": self.n2,
             "x": self.x,
             "n1": self.n1,
-            "class": self.n1_class.tag.value,
-            "index": self.n1_class.index,
+            "class": c.tag.value,
+            "index": c.index,
             "generates": self.generates,
         }
+
+
+def _records(rows: Iterable[int], n1_cap: int) -> Iterator[tuple[int, int, int]]:
+    """The one predecessor-row walk: (n2, x, n1) for every record of the
+    odd rows n2 with n1 <= n1_cap, row by row and ascending in x, from the
+    smallest admissible x in steps of 2. The self pair (1, 2) is included;
+    a multiple of 3 has no row."""
+    cap = 3 * n1_cap + 1
+    for n2 in rows:
+        r = n2 % 3
+        if not r:
+            continue
+        x = 3 - r
+        m = n2 << x
+        while m <= cap:
+            yield n2, x, (m - 1) // 3
+            m <<= 2
+            x += 2
+
+
+def _row(n2: int, x_max: int) -> Iterator[tuple[int, int, int]]:
+    # x <= x_max is the same as n1 <= ((n2 << x_max) - 1) // 3, n1 rising with x
+    return _records((n2,), ((n2 << x_max) - 1) // 3)
 
 
 def predecessor_of(n2: int, x: int) -> PredecessorRecord | None:
@@ -89,33 +119,14 @@ def predecessor_of(n2: int, x: int) -> PredecessorRecord | None:
     _require_positive_int(x, "x")
     if (pow(2, x, 3) * n2) % 3 != 1:
         return None
-    n1 = ((n2 << x) - 1) // 3
-    return PredecessorRecord(n2=n2, x=x, n1=n1, n1_class=classify(n1), generates=n1 % 3 != 0)
-
-
-def _admissible_x_start(n2: int) -> int | None:
-    # smallest valid exponent for this residue class, None for multiples of 3
-    r = n2 % 3
-    if r == 0:
-        return None
-    return 2 if r == 1 else 1
+    return PredecessorRecord(n2, x, ((n2 << x) - 1) // 3)
 
 
 def predecessors(n2: int, x_max: int) -> list[PredecessorRecord]:
     """All records for n2 with x <= x_max, ascending in x, self-pair excluded."""
     _require_odd(n2, "n2")
     _require_positive_int(x_max, "x_max")
-    x0 = _admissible_x_start(n2)
-    if x0 is None:
-        return []
-    out = []
-    for x in range(x0, x_max + 1, 2):
-        if (n2, x) == SELF_ITERATION:
-            continue
-        rec = predecessor_of(n2, x)
-        assert rec is not None
-        out.append(rec)
-    return out
+    return [PredecessorRecord(*rec) for rec in _row(n2, x_max) if rec[:2] != SELF_ITERATION]
 
 
 @dataclass(frozen=True)
@@ -149,19 +160,12 @@ def generate_table(tag: SubsetTag, row_count: int, col_count: int) -> Predecesso
         raise ValueError("multiples of three have no predecessor rows")
     if tag is SubsetTag.EVEN_POWER:
         row_values = [1] + [6 * i + 1 for i in range(1, row_count)]
-        xs = range(2, 2 * col_count + 1, 2)
+        x_max = 2 * col_count
     else:
         row_values = [6 * i - 1 for i in range(1, row_count + 1)]
-        xs = range(1, 2 * col_count, 2)
-    rows = []
-    for n2 in row_values:
-        recs = []
-        for x in xs:
-            rec = predecessor_of(n2, x)
-            assert rec is not None
-            recs.append(rec)
-        rows.append((n2, tuple(recs)))
-    return PredecessorTable(subset=tag, rows=tuple(rows))
+        x_max = 2 * col_count - 1
+    rows = tuple((n2, tuple(PredecessorRecord(*rec) for rec in _row(n2, x_max))) for n2 in row_values)
+    return PredecessorTable(subset=tag, rows=rows)
 
 
 def table_to_csv(table: PredecessorTable) -> str:
@@ -175,19 +179,34 @@ def table_to_csv(table: PredecessorTable) -> str:
 
 
 def _records_up_to(bound: int) -> Iterator[tuple[int, int, int]]:
-    # every (n2, x, n1) with n1 <= bound, the self pair excluded
-    cap = 3 * bound + 1
-    for n2 in range(1, cap // 2 + 1, 2):
-        x0 = _admissible_x_start(n2)
-        if x0 is None:
-            continue
-        m = n2 << x0
-        x = x0
+    # every (n2, x, n1) with n1 <= bound, the self pair excluded; a row
+    # past n2 = (3*bound + 1) / 2 has none, as n1 >= (2*n2 - 1) / 3
+    records = _records(range(1, (3 * bound + 1) // 2 + 1, 2), bound)
+    next(records)  # the self pair (1, 2, 1) comes first
+    return records
+
+
+def _count_records_by_class(n: int) -> tuple[int, int, int]:
+    # records with n1 <= n by row class: row n2=1 (self pair included),
+    # rows 6i-1, rows 6i+1 (n2 > 1); the brute side of the totals check
+    cap = 3 * n + 1
+    return (
+        _count_rows(range(1, 2), 2, cap),
+        _count_rows(range(5, (cap >> 1) + 1, 6), 1, cap),
+        _count_rows(range(7, (cap >> 2) + 1, 6), 2, cap),
+    )
+
+
+def _count_rows(rows: range, x: int, cap: int) -> int:
+    # The row walk of _records, written out: counting through _records
+    # measured about 3.5x slower for k = 2..12 (1.8-2.1 s vs 0.5 s).
+    count = 0
+    for n2 in rows:
+        m = n2 << x
         while m <= cap:
-            if (n2, x) != SELF_ITERATION:
-                yield n2, x, (m - 1) // 3
+            count += 1
             m <<= 2
-            x += 2
+    return count
 
 
 @dataclass(frozen=True)
@@ -286,8 +305,8 @@ def inverse_bfs(bound: int, value_cap: int, x_max: int) -> CoverageReport:
         r = n2 % 3
         if not r:
             continue
-        # the row of n2: x from its smallest admissible exponent in steps
-        # of 2, and n1 = (2^x * n2 - 1) / 3 grows as n1 -> 4*n1 + 1
+        # the row walk of _records, inline: a generator per node measured
+        # about 2x slower here; n1 = (2^x * n2 - 1) / 3 grows as 4*n1 + 1
         x = 3 - r
         n1 = ((n2 << x) - 1) // 3
         if n1 == n2:  # only the self pair (1, 2)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from .core import DEFAULT_MAX_STEPS, _require_chain, step
 from .counting import totals, TotalsReport
+from .inverse import _count_records_by_class
 from .ranges import odd_range_candidate
 
 # Deeper tables sieve more starts but cost more per block to scan; 2^16
@@ -106,15 +107,16 @@ def _sieve(depth: int) -> tuple[tuple[array, ...], tuple[array, ...]]:
     expansion.
 
     Returns (exits, survivors), each as one int64 array per column;
-    zip(*exits) gives the classes back. An exit (2^j, r, steps, a_min) is
-    a class n = 2^j*a + r that first has 3^c < 2^j at j <= depth: each of
-    its starts with a >= a_min descends after exactly `steps` = j + c
-    single steps, while T^j(n) >= n below a_min. A survivor
+    zip(*exits) gives the classes back. An exit (2^j, r, steps) is a class
+    n = 2^j*a + r that first has 3^c < 2^j at j <= depth: each of its
+    starts descends after exactly `steps` = j + c single steps, since
+    T^j(r) < r. The one exception is the class (4, 1), where T^2(1) = 1:
+    its start 1 is settled by convention and 5, 9, ... descend. A survivor
     (r, 3^c, v, steps) is a class n = 2^depth*a + r that still has
     3^c > 2^j at every j <= depth: T^depth(n) = 3^c*a + v after `steps`
     single steps, and every value on the way there exceeds n.
     """
-    exits = tuple(array("q") for _ in range(4))
+    exits = tuple(array("q") for _ in range(3))
     survivors = tuple(array("q") for _ in range(4))
     # depth first, so that few nodes are ever open at once;
     # j = 1: n = 2a + 1 gives T(n) = 3a + 2
@@ -132,8 +134,10 @@ def _sieve(depth: int) -> tuple[tuple[array, ...], tuple[array, ...]]:
             else:
                 c3_, v_, steps_ = c3, u >> 1, steps + 1
             if c3_ < mod:
-                # T^(j+1)(n) = c3_*b + v_ < n  <=>  b*(mod - c3_) > v_ - r2
-                _append(exits, mod, r2, steps_, max(0, (v_ - r2) // (mod - c3_) + 1))
+                # T^(j+1)(n) = c3_*b + v_ < n for every b >= 0 once v_ < r2
+                if v_ >= r2 and (mod, r2) != (4, 1):
+                    raise AssertionError(f"class {r2} mod {mod} does not descend from its residue")
+                _append(exits, mod, r2, steps_)
             else:
                 stack.append((j + 1, r2, c3_, v_, steps_))
     return exits, survivors
@@ -157,24 +161,19 @@ def _sweep_block(args: tuple[int, int, int, int]) -> tuple[int, list[tuple[int, 
     exits, survivors = _sieve(depth)
     verified = max_used = 0
     failures: list[tuple[int, str]] = []
-    # (start, value to walk on from, steps charged) of the starts below
-    # their class's threshold; up to depth 16 only start 1 is one of them
-    walks: list[tuple[int, int, int]] = []
     if lo == 1:
         # every chain ends at 1, so by convention it settles at 0 steps
         verified, lo = 1, 3
-    for mod, r, steps, a_min in zip(*exits):
+    for mod, r, steps in zip(*exits):
         a_lo, a_hi = _first_a(lo, r, mod), _first_a(hi, r, mod)
-        a_mid = min(max(a_lo, a_min), a_hi)
-        walks.extend((n, 3 * n + 1, 1) for n in range(a_lo * mod + r, a_mid * mod + r, mod))
-        if a_mid >= a_hi:
+        if a_lo >= a_hi:
             continue
         if steps <= max_steps:
-            verified += a_hi - a_mid
+            verified += a_hi - a_lo
             max_used = max(max_used, steps)
         else:
-            failures.extend((n, "maxStepsExceeded") for n in range(a_mid * mod + r, hi, mod))
-    for n, w, used in itertools.chain(walks, _jumps(lo, hi, depth, survivors)):
+            failures.extend((n, "maxStepsExceeded") for n in range(a_lo * mod + r, hi, mod))
+    for n, w, used in _jumps(lo, hi, depth, survivors):
         got = _settle(n, w, used, max_steps)
         if got is None:
             failures.append((n, "maxStepsExceeded"))
@@ -468,34 +467,6 @@ class CrossCheckEntry:
             }
         )
         return d
-
-
-def _count_records_by_class(n: int) -> tuple[int, int, int]:
-    # records with n1 <= n, bucketed: row n2=1 (self pair included),
-    # rows 6i-1, rows 6i+1 (n2 > 1); integer arithmetic only
-    cap = 3 * n + 1
-    root = 0
-    m = 4  # 2^2 * 1
-    while m <= cap:
-        root += 1
-        m <<= 2
-    opow = 0
-    n2 = 5
-    while 2 * n2 <= cap:
-        m = 2 * n2
-        while m <= cap:
-            opow += 1
-            m <<= 2
-        n2 += 6
-    epow = 0
-    n2 = 7
-    while 4 * n2 <= cap:
-        m = 4 * n2
-        while m <= cap:
-            epow += 1
-            m <<= 2
-        n2 += 6
-    return root, opow, epow
 
 
 def cross_check_totals(k_max: int) -> tuple[CrossCheckEntry, ...]:

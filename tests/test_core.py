@@ -135,6 +135,11 @@ def test_hand_built_chains_must_follow_the_rule():
             build(values)
     with pytest.raises(ValueError):
         Step(0, 0)
+    # a value equal to the rule's image but not an int is no step
+    with pytest.raises(TypeError):
+        Trajectory((2, 1.0))
+    with pytest.raises(TypeError):
+        Step(2, True)
     assert not Trajectory((3, 10, 5)).terminated
     assert closed_chain((1, 4, 2)).terminated
 

@@ -127,6 +127,29 @@ def test_table_rejects_multiple_of_three():
         generate_table(SubsetTag.MULTIPLE_OF_THREE, 1, 1)
 
 
+def test_rows_match_a_literal_grid():
+    # predecessors and generate_table against predecessor_of, cell by cell
+    grid = {
+        n2: [rec for x in range(1, 31) if (rec := predecessor_of(n2, x)) is not None]
+        for n2 in range(1, 302, 2)
+    }
+    for n2, recs in grid.items():
+        for x_max in range(1, 31):
+            assert predecessors(n2, x_max) == [r for r in recs if r.x <= x_max and not r.self_loop]
+    for tag, first in ((SubsetTag.EVEN_POWER, 1), (SubsetTag.ODD_POWER, 5)):
+        row_values = list(range(first, 302, 6))
+        for cols in range(1, 16):
+            table = generate_table(tag, len(row_values), cols)
+            x_max = 2 * cols if tag is SubsetTag.EVEN_POWER else 2 * cols - 1
+            assert [n2 for n2, _ in table.rows] == row_values
+            for n2, recs in table.rows:
+                assert list(recs) == [r for r in grid[n2] if r.x <= x_max]
+    for recs in grid.values():
+        for r in recs:
+            assert r.n1_class == classify(r.n1)
+            assert r.generates == (r.n1 % 3 != 0)
+
+
 def test_table_csv_shape():
     table = generate_table(SubsetTag.ODD_POWER, 1, 2)
     assert table_to_csv(table) == (
@@ -141,20 +164,32 @@ def test_uniqueness_small_and_trivial():
     assert uniqueness_check(1).violations == ()
 
 
-def test_uniqueness_counts_records():
-    # bound 100: every record (n2, x) -> n1 <= 100, self pair excluded
-    report = uniqueness_check(100)
+@pytest.mark.parametrize("bound", [1, 3, 7, 17, 100, 101, 1003])
+def test_uniqueness_counts_records(bound):
+    # every record (n2, x) -> n1 <= bound, self pair excluded; n1 <= bound
+    # needs 2^x <= 3*bound + 1
+    report = uniqueness_check(bound)
     brute = set()
-    for n2 in range(1, 3 * 100 + 2, 2):
+    for n2 in range(1, 3 * bound + 2, 2):
         if n2 % 3 == 0:
             continue
-        for x in range(1, 12):
+        for x in range(1, (3 * bound + 1).bit_length() + 1):
             if (pow(2, x, 3) * n2) % 3 != 1 or (n2, x) == (1, 2):
                 continue
             n1 = (2**x * n2 - 1) // 3
-            if n1 <= 100:
+            if n1 <= bound:
                 brute.add((n2, x, n1))
     assert report.records_checked == len(brute)
+
+
+def test_record_counter_matches_the_row_walk():
+    # the cross-check's literal counter buckets the records of _records by
+    # row class at every bound, not only at the bounds (4^k - 1)/3
+    for n in range(1, 400):
+        buckets = [0, 0, 0]
+        for n2, _, _ in inverse._records(range(1, 3 * n + 2, 2), n):
+            buckets[0 if n2 == 1 else 1 if n2 % 6 == 5 else 2] += 1
+        assert inverse._count_records_by_class(n) == tuple(buckets), n
 
 
 def test_uniqueness_reports_every_collision(monkeypatch):

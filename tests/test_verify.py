@@ -99,23 +99,23 @@ def test_sieved_block_matches_oracle_at_every_depth(max_steps):
 
 
 def test_sieve_thresholds_are_exact():
+    # every depth builds: _sieve raises if an exit class other than that of
+    # 1 mod 4 fails to descend from its residue on
+    for depth in range(1, SIEVE_MAX_DEPTH + 1):
+        _sieve(depth)
     exits, survivors = (list(zip(*table)) for table in _sieve(SIEVE_MAX_DEPTH))
     assert len(survivors) == 2114  # of the 2^15 odd classes mod 2^16
-    for mod, r, steps, a_min in exits:
-        n = a_min * mod + r
-        # the first start past the threshold descends at the class's count,
-        # the start just below it (other than 1, settled by convention)
-        # does not descend by then
-        assert _descent_steps(n, 10**4) == steps
-        if n - mod > 1:
-            assert _descent_steps(n - mod, 10**4) > steps
-    # only the class of 1 mod 4 has a threshold above its residue, 5; every
-    # other class descends from its residue on
-    assert [(mod, r, a_min) for mod, r, _, a_min in exits if a_min] == [(4, 1, 1)]
+    # only the class of 1 mod 4 holds a start below 3, the start 1 that
+    # the sweep settles by convention
+    assert [(mod, r) for mod, r, _ in exits if r < 3] == [(4, 1)]
+    # each class's smallest start >= 3 descends at exactly the class's count
+    for mod, r, steps in exits:
+        n = r if r >= 3 else r + mod
+        assert _descent_steps(n, 10**4) == steps, (mod, r)
     # around the largest residue of a sieved class, at the class's own count
-    top = max(r for _, r, _, _ in exits)
+    top = max(r for _, r, _ in exits)
     assert top == 65_439
-    steps = next(s for _, r, s, _ in exits if r == top)
+    steps = next(s for _, r, s in exits if r == top)
     lo, hi = top - 4000, top + 2**17 + 1
     for max_steps in (steps - 1, steps, 100_000):
         assert _sweep_block((lo, hi, max_steps, SIEVE_MAX_DEPTH)) == oracle_sweep(lo, hi, max_steps)
