@@ -11,6 +11,7 @@ configuration is stable byte-for-byte except for wall-time fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -221,7 +222,14 @@ def _cmd_uniqueness(args: argparse.Namespace) -> int:
     return 0 if report.ok else CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared afterwards.
+
+    Parsing only reads the parser: each call's values live in its own
+    Namespace, and the handlers look the library functions up when they
+    run. So every main() call in a process can share this one object.
+    """
     parser = argparse.ArgumentParser(
         prog="collatzkit",
         description="Collatz chains, inverse predecessor tables, counting "
@@ -296,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, TypeError) as exc:

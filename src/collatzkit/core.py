@@ -20,11 +20,11 @@ class Parity(enum.Enum):
     ODD = "odd"
 
 
-def _require_positive_int(n: int, name: str = "n") -> None:
+def _require_positive_int(n: int, name: str = "n", minimum: int = 1) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"{name} must be an int, got {type(n).__name__}")
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1, got {n}")
+    if n < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {n}")
 
 
 def _require_odd(n: int, name: str = "n") -> None:

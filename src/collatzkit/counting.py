@@ -139,7 +139,8 @@ def i_opow_max_casewise(p_n: int) -> int:
         v = Fraction(p_n, 2)
     else:
         v = Fraction(p_n, 2) - Fraction(1, 2)
-    assert v.denominator == 1
+    if v.denominator != 1:
+        raise ArithmeticError(f"case split gave {v}, not an integer")
     return int(v)
 
 
@@ -164,7 +165,8 @@ def i_epow_max_casewise(p_n: int) -> int:
         v = base - Fraction(3, 4)
     else:  # p = 4s + 1
         v = base
-    assert v.denominator == 1
+    if v.denominator != 1:
+        raise ArithmeticError(f"case split gave {v}, not an integer")
     return int(v)
 
 

@@ -117,7 +117,8 @@ def range_step(n: int) -> RangeState:
     n_odd = 3 * p - ob.a_const
     n_even = _exact_div(4 * n - eb.c_const, 3, "even-range candidate")
     delta = _exact_div(p + eb.b_const - 3 * ob.a_const, 3, "candidate gap")
-    assert delta == n_odd - n_even
+    if delta != n_odd - n_even:
+        raise ArithmeticError(f"candidate gap {delta} != {n_odd} - {n_even}")
     chosen = n_even if n_even <= n_odd else n_odd
     return RangeState(
         n=n,

@@ -26,7 +26,7 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .core import DEFAULT_MAX_STEPS, _require_chain, step
+from .core import DEFAULT_MAX_STEPS, _require_chain, _require_positive_int, step
 from .counting import totals, TotalsReport
 from .inverse import _count_records_by_class
 from .ranges import odd_range_candidate
@@ -254,12 +254,9 @@ def _sweep(bound: int, max_steps: int, shards: int) -> tuple[int, list[tuple[int
     order, so the result is the same for any shard count. Below
     POOL_MIN_BOUND the sweep runs in-process as one block.
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
+    _require_positive_int(bound, "bound")
+    _require_positive_int(max_steps, "max_steps")
+    _require_positive_int(shards, "shards")
     cpus = os.cpu_count() or 1
     depth = _sieve_depth(bound)
     _sieve(depth)  # built here, so that forked workers inherit the table
@@ -472,8 +469,7 @@ class CrossCheckEntry:
 def cross_check_totals(k_max: int) -> tuple[CrossCheckEntry, ...]:
     """For k = 2..k_max, compare the closed-form totals with the brute odd
     count and with a direct per-class enumeration of the records."""
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
+    _require_positive_int(k_max, "k_max", minimum=2)
     entries = []
     for k in range(2, k_max + 1):
         rep = totals(k)

@@ -1,12 +1,13 @@
 """Command line behavior: output formats, exit codes, stability."""
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from collatzkit import DEFAULT_MAX_STEPS
+from collatzkit import DEFAULT_MAX_STEPS, cli
 from collatzkit.cli import build_parser, main
 
 TABLE2_CSV = """n2,x,n1,class,generates
@@ -238,3 +239,60 @@ def test_missing_subcommand_is_usage_error():
         [sys.executable, "-m", "collatzkit"], capture_output=True, text=True
     )
     assert proc.returncode == 2
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+# Every subcommand in text and JSON (tables also in CSV), then calls that
+# end in an argparse usage error, a library ValueError and --version. Each
+# flag set on one call is left out of a later call of the same subcommand,
+# so a value that stuck to the shared parser would show.
+_SUBCOMMANDS = [
+    ["seq", "--start", "27", "--max-steps", "5"],
+    ["seq", "--start", "27"],
+    ["tables", "--class", "odd", "--rows", "3", "--cols", "4"],
+    ["tables", "--class", "even", "--rows", "2", "--cols", "3"],
+    ["totals", "--kmax", "6"],
+    ["range-iter", "--start", "19", "--iters", "5"],
+    ["verify-forward", "--bound", "999", "--max-steps", "3", "--shards", "3"],
+    ["verify-forward", "--bound", "999"],
+    ["verify-inverse", "--bound", "29", "--value-cap", "1000", "--x-max", "20"],
+    ["cycle-scan", "--bound", "101", "--max-steps", "4"],
+    ["cycle-scan", "--bound", "101"],
+    ["assumption-table", "--start", "19"],
+    ["cross-check", "--kmax", "4"],
+    ["uniqueness", "--bound", "101"],
+]
+REPLAY = (
+    list(_SUBCOMMANDS)
+    + [argv + ["--format", "json"] for argv in _SUBCOMMANDS]
+    + [["tables", "--class", "odd", "--rows", "3", "--cols", "4", "--format", "csv"]]
+    + [
+        ["tables", "--class", "grey", "--rows", "1", "--cols", "1"],
+        ["seq"],
+        ["verify-forward", "--bound", "0"],
+        ["cross-check", "--kmax", "1", "--format", "json"],
+        ["--version"],
+        ["seq", "--start", "7"],
+    ]
+)
+WALL_TIME = re.compile(r'(wall_time(?:=|": ))[0-9.]+')
+
+
+def _call(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = f"SystemExit({exc.code})"
+    captured = capsys.readouterr()
+    return code, WALL_TIME.sub(r"\1*", captured.out), WALL_TIME.sub(r"\1*", captured.err)
+
+
+def test_shared_parser_carries_no_state(capsys, monkeypatch):
+    shared = [_call(capsys, argv) for argv in REPLAY + REPLAY]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    fresh = [_call(capsys, argv) for argv in REPLAY]
+    assert {code for code, _, _ in fresh} == {0, 1, 2, "SystemExit(2)", "SystemExit(0)"}
+    assert shared == fresh + fresh

@@ -1,11 +1,16 @@
 """Range recurrence: candidates, branch selection, growth, stalls."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import collatzkit
 from collatzkit import (
     even_range_candidate,
     iterate_ranges,
@@ -44,6 +49,28 @@ def test_range_step_worked_example():
     assert (s.n_odd, s.n_even, s.chosen, s.growth) == (29, 25, 25, 6)
     assert s.p_n == 10
     assert s.delta_oe == 4
+
+
+def test_range_step_checks_its_gap_under_optimize():
+    # `python -O` strips assert statements; the gap check must still raise
+    script = """
+import sys
+from collatzkit import ranges
+if not sys.flags.optimize:
+    sys.exit(3)
+ranges.EvenBranch.c_const = property(lambda self: self.b_const - 1)
+try:
+    ranges.range_step(19)
+except ArithmeticError as exc:
+    print(f"ArithmeticError: {exc}")
+"""
+    src = str(Path(collatzkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ArithmeticError: candidate gap 4")
 
 
 def test_range_step_stalls():

@@ -146,6 +146,35 @@ def test_sweeps_share_one_default_budget():
         assert inspect.signature(sweep).parameters["max_steps"].default == DEFAULT_MAX_STEPS
 
 
+@pytest.mark.parametrize("sweep", [verify_forward, cycle_scan])
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"bound": 1e3}, TypeError),
+        ({"bound": True}, TypeError),
+        ({"bound": 0}, ValueError),
+        ({"bound": 99, "max_steps": 50.5}, TypeError),
+        ({"bound": 99, "max_steps": True}, TypeError),
+        ({"bound": 99, "max_steps": 0}, ValueError),
+    ],
+)
+def test_sweeps_reject_what_is_not_a_positive_int(sweep, kwargs, error):
+    with pytest.raises(error):
+        sweep(**kwargs)
+
+
+@pytest.mark.parametrize("shards, error", [(2.0, TypeError), (True, TypeError), (0, ValueError)])
+def test_verify_forward_rejects_bad_shards(shards, error):
+    with pytest.raises(error):
+        verify_forward(99, shards=shards)
+
+
+@pytest.mark.parametrize("k_max, error", [(6.0, TypeError), (True, TypeError), (1, ValueError), (0, ValueError)])
+def test_cross_check_rejects_bad_k_max(k_max, error):
+    with pytest.raises(error, match="k_max"):
+        cross_check_totals(k_max)
+
+
 def test_verify_forward_records_budget_failures():
     # with one step allowed, only the start 1 is confirmed
     report = verify_forward(19, 1)
