@@ -58,6 +58,7 @@ from .verify import (
     AssumptionRow,
     CrossCheckEntry,
     CycleRecord,
+    CycleScanReport,
     VerifyReport,
     cross_check_totals,
     cycle_scan,

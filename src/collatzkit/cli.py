@@ -2,8 +2,9 @@
 
 Every subcommand prints either human-readable text or machine-readable
 JSON/CSV and exits 0 only when the run's internal checks pass: identity
-mismatches, unexpected cycles, cycle-scan starts left undecided, sweep
-failures and coverage gaps all exit 1. Usage problems, including values
+mismatches, unexpected cycles, cycle-scan starts left undecided, a `seq`
+chain that runs out of its step budget before reaching 1, sweep failures
+and coverage gaps all exit 1. Usage problems, including values
 the library rejects, exit 2 with a one-line error. Output for a given
 configuration is stable byte-for-byte except for wall-time fields.
 """
@@ -63,6 +64,10 @@ def _cmd_seq(args: argparse.Namespace) -> int:
         )
         if "chain_product" in info:
             print(f"chain product = {info['chain_product']}")
+    if not t.terminated:
+        print(f"chain from {t.start} did not reach 1 within max_steps={args.max_steps}",
+              file=sys.stderr)
+        return CHECK_FAILED
     return 0
 
 

@@ -178,14 +178,6 @@ def table_to_csv(table: PredecessorTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _records_up_to(bound: int) -> Iterator[tuple[int, int, int]]:
-    # every (n2, x, n1) with n1 <= bound, the self pair excluded; a row
-    # past n2 = (3*bound + 1) / 2 has none, as n1 >= (2*n2 - 1) / 3
-    records = _records(range(1, (3 * bound + 1) // 2 + 1, 2), bound)
-    next(records)  # the self pair (1, 2, 1) comes first
-    return records
-
-
 def _count_records_by_class(n: int) -> tuple[int, int, int]:
     # records with n1 <= n by row class: row n2=1 (self pair included),
     # rows 6i-1, rows 6i+1 (n2 > 1); the brute side of the totals check
@@ -220,33 +212,63 @@ class UniquenessReport:
         return not self.violations
 
 
+def _columns(bound: int) -> Iterator[tuple[int, int, slice]]:
+    """The records with n1 <= bound, self pair excluded, one column per x:
+    (n2, x, sl) where sl, with its start and step set, picks the indices
+    n1 >> 1 of a one-byte-per-odd array and its k-th index is the record
+    of row n2 + 6k.
+
+    Column x holds the rows n2 = 6i + 5 (odd x) or 6i + 1 (even x), and
+    n1 = 2^(x+1)*i + (2^x*n2 - 1)/3 steps by 2^x in that array. Column 2
+    starts at row 7, past the self pair (1, 2). No record has n1 <= bound
+    once 2^x > 3*bound + 1.
+    """
+    x = 1
+    while 1 << x <= 3 * bound + 1:
+        n2 = 5 if x & 1 else 7 if x == 2 else 1
+        yield n2, x, slice(((n2 << x) - 1) // 3 >> 1, None, 1 << x)
+        x += 1
+
+
+# a saturating +1 on a seen-byte: 0 -> 1, anything else -> 2 (a collision)
+_BUMP = bytes([1] + [2] * 255)
+
+
 def uniqueness_check(bound: int) -> UniquenessReport:
     """Scan every record with n1 <= bound for two sources of the same n1.
 
     Distinct (n2, x) pairs can never produce the same n1 (both n2 odd, so
     2^(x1-x2) = n2_2/n2_1 forces x1 = x2); this enumerates and checks
     instead of trusting the argument. Every n1 is odd, so one seen-byte per
-    odd number up to bound finds the collisions; only when there is one
-    does a second pass gather the sources of each colliding n1, in
-    enumeration order.
+    odd number up to bound counts how often each n1 is produced, a column
+    of records (see _columns) at a time in strided slice operations, so no
+    Python code runs per record. Only when some byte passes 1
+    are the sources of each colliding n1 gathered, ascending in n2 as the
+    rows run.
     """
     _require_positive_int(bound, "bound")
     seen = bytearray((bound + 1) // 2)
-    colliding = set()
     count = 0
-    for _, _, n1 in _records_up_to(bound):
-        count += 1
-        if seen[n1 >> 1]:
-            colliding.add(n1)
-        else:
-            seen[n1 >> 1] = 1
-    sources: dict[int, list[tuple[int, int]]] = {n1: [] for n1 in sorted(colliding)}
-    if sources:
-        for n2, x, n1 in _records_up_to(bound):
-            if n1 in sources:
-                sources[n1].append((n2, x))
-    violations = tuple((n1, tuple(pairs)) for n1, pairs in sources.items())
-    return UniquenessReport(bound=bound, records_checked=count, violations=violations)
+    for _, _, sl in _columns(bound):
+        # a column in two interleaved halves: the copy and its translation
+        # together stay within one column, bound/4 bytes at x = 1
+        for start in (sl.start, sl.start + sl.step):
+            half = slice(start, sl.stop, 2 * sl.step)
+            column = seen[half]
+            count += len(column)
+            seen[half] = column.translate(_BUMP)
+    indices = range(len(seen))
+    violations = []
+    j = seen.find(2)
+    while j >= 0:
+        sources = sorted(
+            (n2 + 6 * indices[sl].index(j), x)
+            for n2, x, sl in _columns(bound)
+            if j in indices[sl]
+        )
+        violations.append((2 * j + 1, tuple(sources)))
+        j = seen.find(2, j + 1)
+    return UniquenessReport(bound=bound, records_checked=count, violations=tuple(violations))
 
 
 @dataclass(frozen=True)

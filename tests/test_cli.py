@@ -98,6 +98,20 @@ def test_seq_json(capsys):
     assert info["chain_product"] == "1/27"
 
 
+def test_seq_budget_run_out_exits_one(capsys):
+    # stdout is the same as for any run; stderr names the budget
+    code = main(["seq", "--start", "27", "--max-steps", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == (
+        "27 -> 82\n"
+        "steps=1 even=0 odd=1 peak=82 terminated=False\n"
+        "chain product = 82/27\n"
+    )
+    assert captured.err == "chain from 27 did not reach 1 within max_steps=1\n"
+    assert main(["seq", "--start", "27", "--max-steps", "111"]) == 0
+
+
 def test_verify_forward_text(capsys):
     code, out = run_cli(capsys, "verify-forward", "--bound", "999", "--shards", "2")
     assert code == 0

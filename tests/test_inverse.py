@@ -192,18 +192,49 @@ def test_record_counter_matches_the_row_walk():
         assert inverse._count_records_by_class(n) == tuple(buckets), n
 
 
+def _column_records(bound):
+    n = (bound + 1) // 2
+    return sorted(
+        (n2 + 6 * k, x, 2 * j + 1)
+        for n2, x, sl in inverse._columns(bound)
+        for k, j in enumerate(range(n)[sl])
+    )
+
+
+def _row_records(bound):
+    # a row past n2 = (3*bound + 1) / 2 has no record, as n1 >= (2*n2 - 1) / 3
+    rows = inverse._records(range(1, (3 * bound + 1) // 2 + 1, 2), bound)
+    return sorted(r for r in rows if r[:2] != inverse.SELF_ITERATION)
+
+
+def test_columns_hold_the_records_of_the_row_walk():
+    # the uniqueness scan's columns against the row walk, self pair dropped
+    for bound in [*range(1, 2001), 999_983]:
+        assert _column_records(bound) == _row_records(bound), bound
+
+
+def test_uniqueness_large_bound():
+    report = uniqueness_check(10**7)
+    assert report.records_checked == 4_999_999
+    assert report.violations == ()
+
+
 def test_uniqueness_reports_every_collision(monkeypatch):
-    # no real record collides, so feed the check records that do: 5 from
-    # three sources, 9 from two, everything else once
-    records = [
-        (5, 1, 3), (1, 4, 5), (7, 2, 9), (11, 1, 7), (99, 3, 5),
-        (13, 2, 17), (17, 1, 11), (23, 3, 5), (43, 1, 9),
+    # no real column overlaps another, so feed the check columns that do:
+    # 5 from three sources, 9 from two, everything else once
+    columns = [
+        (5, 1, slice(1, 6, 2)),  # rows 5, 11, 17 at x = 1: n1 = 3, 7, 11
+        (1, 4, slice(2, 3, 16)),  # n1 = 5
+        (7, 2, slice(4, 9, 4)),  # rows 7, 13 at x = 2: n1 = 9, 17
+        (99, 3, slice(2, 3, 8)),  # n1 = 5
+        (23, 3, slice(2, 3, 8)),  # n1 = 5
+        (43, 1, slice(4, 5, 2)),  # n1 = 9
     ]
-    monkeypatch.setattr(inverse, "_records_up_to", lambda bound: iter(records))
+    monkeypatch.setattr(inverse, "_columns", lambda bound: iter(columns))
     report = uniqueness_check(17)
     assert report.records_checked == 9
     assert report.violations == (
-        (5, ((1, 4), (99, 3), (23, 3))),
+        (5, ((1, 4), (23, 3), (99, 3))),
         (9, ((7, 2), (43, 1))),
     )
     assert not report.ok

@@ -7,6 +7,7 @@ import pytest
 
 from collatzkit import (
     DEFAULT_MAX_STEPS,
+    CycleScanReport,
     chain_product,
     closed_chain,
     cross_check_totals,
@@ -223,6 +224,10 @@ def test_cycle_scan_undecided_matches_oracle(bound):
     report = cycle_scan(bound)
     assert report.undecided == ()
     assert [c.members for c in report.cycles] == [(1, 4, 2)]
+
+
+def test_cycle_scan_report_is_exported():
+    assert isinstance(cycle_scan(1), CycleScanReport)
 
 
 def test_cycle_scan_bound_one():
