@@ -4,9 +4,9 @@ Every subcommand prints either human-readable text or machine-readable
 JSON/CSV and exits 0 only when the run's internal checks pass: identity
 mismatches, unexpected cycles, cycle-scan starts left undecided, a `seq`
 chain that runs out of its step budget before reaching 1, sweep failures
-and coverage gaps all exit 1. Usage problems, including values
-the library rejects, exit 2 with a one-line error. Output for a given
-configuration is stable byte-for-byte except for wall-time fields.
+and coverage gaps all exit 1. Usage problems, including values the
+library rejects or cannot index, exit 2 with a one-line error. Output for
+a given configuration is stable byte-for-byte except for wall-time fields.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import __version__
-from .core import DEFAULT_MAX_STEPS, chain_product, trajectory
+from .core import DEFAULT_MAX_STEPS, _require_positive_int, chain_product, trajectory
 from .counting import totals
 from .inverse import SubsetTag, generate_table, inverse_bfs, table_to_csv, uniqueness_check
 from .ranges import iterate_ranges
@@ -32,11 +32,6 @@ from .verify import (
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-
-
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return USAGE_ERROR
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
@@ -89,8 +84,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_totals(args: argparse.Namespace) -> int:
-    if args.kmax < 2:
-        return _usage("--kmax must be >= 2")
+    _require_positive_int(args.kmax, "kmax", minimum=2)
     reports = [totals(k) for k in range(2, args.kmax + 1)]
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports]))
@@ -312,6 +306,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError) as exc:
-        # the library rejects a value the parser let through
-        return _usage(str(exc))
+    except (ValueError, TypeError, OverflowError) as exc:
+        # the library rejects a value the parser let through, or one too
+        # large for the machine to index
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR

@@ -27,8 +27,8 @@ def _require_positive_int(n: int, name: str = "n", minimum: int = 1) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {n}")
 
 
-def _require_odd(n: int, name: str = "n") -> None:
-    _require_positive_int(n, name)
+def _require_odd(n: int, name: str = "n", minimum: int = 1) -> None:
+    _require_positive_int(n, name, minimum)
     if n % 2 == 0:
         raise ValueError(f"{name} must be odd, got {n}")
 

@@ -52,11 +52,11 @@ class PowerParams:
     k_n: int | None = None
 
     def __post_init__(self) -> None:
-        _require_positive_int(self.p_n, "p_n")
-        if self.p_n < 2:
-            raise ValueError("p_n must be > 1")
-        if self.k_n is not None and 2 * self.p_n - 1 != (4**self.k_n - 1) // 3:
-            raise ValueError(f"k_n={self.k_n} does not match p_n={self.p_n}")
+        _require_positive_int(self.p_n, "p_n", minimum=2)
+        if self.k_n is not None:
+            _require_positive_int(self.k_n, "k_n", minimum=2)
+            if 2 * self.p_n - 1 != (4**self.k_n - 1) // 3:
+                raise ValueError(f"k_n={self.k_n} does not match p_n={self.p_n}")
 
     @property
     def n(self) -> int:
@@ -64,15 +64,13 @@ class PowerParams:
 
     @classmethod
     def from_k(cls, k_n: int) -> "PowerParams":
-        _require_positive_int(k_n, "k_n")
-        if k_n < 2:
-            raise ValueError("k_n must be > 1")
+        _require_positive_int(k_n, "k_n", minimum=2)
         n = (4**k_n - 1) // 3
         return cls(p_n=(n + 1) // 2, k_n=k_n)
 
     @classmethod
     def from_bound(cls, n: int) -> "PowerParams":
-        _require_odd(n)
+        _require_odd(n, minimum=3)
         m = 3 * n + 1
         k = None
         if m & (m - 1) == 0 and m.bit_length() % 2 == 1:  # m = 4^k
@@ -127,9 +125,7 @@ def power_relation_integer(n2_i: int, x_i: int, n2_j: int) -> int | None:
 def i_opow_max(p_n: int) -> int:
     """Largest row index i of the 6i-1 class that reaches n1 <= 2*p_n - 1
     with a single halving: floor(p_n / 2)."""
-    _require_positive_int(p_n, "p_n")
-    if p_n < 2:
-        raise ValueError("p_n must be > 1")
+    _require_positive_int(p_n, "p_n", minimum=2)
     return p_n // 2
 
 
@@ -147,9 +143,7 @@ def i_opow_max_casewise(p_n: int) -> int:
 def i_epow_max(p_n: int) -> int:
     """Largest row index i of the 6i+1 class reaching n1 <= 2*p_n - 1 with
     a double halving: floor((p_n - 1) / 4)."""
-    _require_positive_int(p_n, "p_n")
-    if p_n < 2:
-        raise ValueError("p_n must be > 1")
+    _require_positive_int(p_n, "p_n", minimum=2)
     return (p_n - 1) // 4
 
 
@@ -196,16 +190,16 @@ def even_class_max_value_casewise(p_n: int) -> int:
 
 def geom_sum(a: int, b: int) -> int:
     """Sum of 4^i for i in [a, b], by the closed form (4^(b+1) - 4^a)/3."""
-    if a < 0 or b < a:
-        raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
+    _require_positive_int(a, "a", minimum=0)
+    _require_positive_int(b, "b", minimum=a)
     return _exact_div(4 ** (b + 1) - 4**a, 3, "geometric sum")
 
 
 def geom_weighted_sum(a: int, b: int) -> int:
     """Sum of i * 4^i for i in [a, b], by the closed form
     4^(b+1) * (b+1)/3 - (4/9) 4^(b+1) - 4^a * a/3 + (4/9) 4^a."""
-    if a < 0 or b < a:
-        raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
+    _require_positive_int(a, "a", minimum=0)
+    _require_positive_int(b, "b", minimum=a)
     num = 4 ** (b + 1) * (3 * (b + 1) - 4) + 4**a * (4 - 3 * a)
     return _exact_div(num, 9, "weighted geometric sum")
 
@@ -238,9 +232,7 @@ class TotalsReport:
 def totals(k_n: int) -> TotalsReport:
     """Evaluate T_o = (4^k - 3k - 1)/9, T_e = (4^k - 12k + 8)/18 and the
     assembly T = (k-1) + 1 + T_o + T_e, then count the odds in [1, N]."""
-    _require_positive_int(k_n, "k_n")
-    if k_n < 2:
-        raise ValueError("k_n must be > 1")
+    _require_positive_int(k_n, "k_n", minimum=2)
     pow4 = 4**k_n
     n = _exact_div(pow4 - 1, 3, "bound for totals")
     t_odd = _exact_div(pow4 - 3 * k_n - 1, 9, "odd-power total")
@@ -265,9 +257,7 @@ def totals_by_summation(k_n: int) -> tuple[int, int]:
     a transcription slip in either route shows up as a mismatch with the
     closed forms.
     """
-    _require_positive_int(k_n, "k_n")
-    if k_n < 2:
-        raise ValueError("k_n must be > 1")
+    _require_positive_int(k_n, "k_n", minimum=2)
     half = Fraction(1, 2)
     sixth = Fraction(1, 6)
 
@@ -315,9 +305,7 @@ def kj_odd(p_n: int, i_opow: int) -> FloorRemainder:
     Integer solutions occur exactly when the ratio is 2^(2f-1); the returned
     remainder is exactly 0 in that case.
     """
-    _require_positive_int(p_n, "p_n")
-    if p_n < 2:
-        raise ValueError("p_n must be > 1")
+    _require_positive_int(p_n, "p_n", minimum=2)
     _require_positive_int(i_opow, "i_opow")
     return _floor_remainder_half_log(6 * p_n - 2, 6 * i_opow - 1, plus_half=True)
 
@@ -327,9 +315,7 @@ def kj_even(p_n: int, i_epow: int) -> FloorRemainder:
 
     Integer solutions occur exactly when the ratio is 4^f.
     """
-    _require_positive_int(p_n, "p_n")
-    if p_n < 2:
-        raise ValueError("p_n must be > 1")
+    _require_positive_int(p_n, "p_n", minimum=2)
     _require_positive_int(i_epow, "i_epow")
     return _floor_remainder_half_log(6 * p_n - 2, 6 * i_epow + 1, plus_half=False)
 
@@ -337,9 +323,7 @@ def kj_even(p_n: int, i_epow: int) -> FloorRemainder:
 def i_opow_floor(p_n: int, f: int) -> FloorRemainder:
     """Row index reached at depth f on the odd-power side:
     floor(((6p-2)/2^(2f-1) + 1) / 6), remainder exact."""
-    _require_positive_int(p_n, "p_n")
-    if p_n < 2:
-        raise ValueError("p_n must be > 1")
+    _require_positive_int(p_n, "p_n", minimum=2)
     _require_positive_int(f, "f")
     expr = (Fraction(6 * p_n - 2, 2 ** (2 * f - 1)) + 1) / 6
     value = math.floor(expr)
@@ -349,9 +333,7 @@ def i_opow_floor(p_n: int, f: int) -> FloorRemainder:
 def i_epow_floor(p_n: int, f: int) -> FloorRemainder:
     """Row index reached at depth f on the even-power side:
     floor(((6p-2)/4^f - 1) / 6), remainder exact."""
-    _require_positive_int(p_n, "p_n")
-    if p_n < 2:
-        raise ValueError("p_n must be > 1")
+    _require_positive_int(p_n, "p_n", minimum=2)
     _require_positive_int(f, "f")
     expr = (Fraction(6 * p_n - 2, 4**f) - 1) / 6
     value = math.floor(expr)

@@ -308,10 +308,8 @@ def inverse_bfs(bound: int, value_cap: int, x_max: int) -> CoverageReport:
     which the tree is visited changes none of the report.
     """
     _require_positive_int(bound, "bound")
-    _require_positive_int(value_cap, "value_cap")
+    _require_positive_int(value_cap, "value_cap", minimum=bound)
     _require_positive_int(x_max, "x_max")
-    if value_cap < bound:
-        raise ValueError(f"value_cap {value_cap} must be >= bound {bound}")
     # No visited set: the odd n1 has exactly one parent, its odd successor
     # (3*n1 + 1) / 2^x with x = v2(3*n1 + 1), because the forward map is a
     # function. Skipping the self pair (1, 2) leaves 1 without a parent, so

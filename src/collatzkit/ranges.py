@@ -46,9 +46,7 @@ class EvenBranch(enum.Enum):
 
 
 def _p_of(n: int) -> int:
-    _require_odd(n, "N")
-    if n < 3:
-        raise ValueError(f"N must be >= 3, got {n}")
+    _require_odd(n, "N", minimum=3)
     return (n + 1) // 2
 
 
@@ -157,7 +155,7 @@ def iterate_ranges(n0: int, max_iters: int) -> IterationTrace:
     A step with growth <= 0 stalls the run (recorded, not raised). For
     p > 3 no stall is expected; the trace is the evidence either way.
     """
-    _require_odd(n0, "N0")
+    _require_odd(n0, "N0", minimum=3)
     _require_positive_int(max_iters, "max_iters")
     states: list[RangeState] = []
     n = n0

@@ -26,7 +26,7 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .core import DEFAULT_MAX_STEPS, _require_chain, _require_positive_int, step
+from .core import DEFAULT_MAX_STEPS, _require_chain, _require_odd, _require_positive_int, step
 from .counting import totals, TotalsReport
 from .inverse import _count_records_by_class
 from .ranges import odd_range_candidate
@@ -234,16 +234,8 @@ class VerifyReport:
 def _block_bounds(bound: int, shards: int) -> list[tuple[int, int]]:
     # contiguous blocks of odd starts, sizes as equal as possible
     count = (bound + 1) // 2
-    base, extra = divmod(count, shards)
-    blocks = []
-    idx = 0
-    for s in range(shards):
-        size = base + (1 if s < extra else 0)
-        lo, hi = 2 * idx + 1, 2 * (idx + size) + 1
-        if size:
-            blocks.append((lo, hi))
-        idx += size
-    return blocks
+    cuts = [2 * (count * s // shards) + 1 for s in range(shards + 1)]
+    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
 
 def _sweep(bound: int, max_steps: int, shards: int) -> tuple[int, list[tuple[int, str]], int]:
@@ -384,8 +376,7 @@ def reproduce_assumption_table(n0: int) -> tuple[AssumptionRow, ...]:
     row's final element. The root row (start 1) shows the terminal cycle
     itself, 4 -> 2 -> 1, with the start pre-marked as visited.
     """
-    if n0 < 3 or n0 % 2 == 0:
-        raise ValueError(f"n0 must be odd and >= 3, got {n0}")
+    _require_odd(n0, "n0", minimum=3)
     visited: set[int] = set()
     rows: list[AssumptionRow] = []
     for start in range(1, n0 + 1, 2):

@@ -22,6 +22,8 @@ from collatzkit import (
 )
 from collatzkit.verify import reproduce_assumption_table
 
+from chain_walk import chain_caps
+
 TABLE1 = {
     1: [1, 5, 21, 85, 341, 1365, 5461, 21845, 87381],
     7: [9, 37, 149, 597, 2389, 9557, 38229, 152917, 611669],
@@ -196,26 +198,6 @@ CAP_1E6_GAPS = frozenset(
 FULL_COVERAGE_CAP = 9_038_141
 # every value of the inverse tree truncated at FULL_COVERAGE_CAP and x <= 60
 FULL_COVERAGE_NODES = 2_683_277
-
-
-def chain_caps(n: int, max_odd_steps: int = 10_000) -> tuple[int, int]:
-    """Literal forward walk from odd n down to 1.
-
-    Returns the largest odd value on the chain and the longest halving run.
-    Distinct (n2, x) pairs never give the same n1 (criterion 6), so the
-    inverse-tree path from 1 to n is this chain reversed: inverse_bfs
-    reaches n exactly when value_cap and x_max are at least these two.
-    """
-    peak, longest_run = n, 0
-    for _ in range(max_odd_steps):
-        if n == 1:
-            return peak, longest_run
-        n, run = 3 * n + 1, 0
-        while n % 2 == 0:
-            n //= 2
-            run += 1
-        peak, longest_run = max(peak, n), max(longest_run, run)
-    raise AssertionError(f"chain did not reach 1 within {max_odd_steps} odd steps")
 
 
 def test_criterion_10_inverse_coverage():

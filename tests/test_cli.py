@@ -222,6 +222,10 @@ def test_bad_value_exit_code(capsys):
         ("tables", "--class", "odd", "--rows", "0", "--cols", "3"),
         ("seq", "--start", "27", "--max-steps", "0"),
         ("cycle-scan", "--bound", "1001", "--max-steps", "0"),
+        # too large to index a bytearray by: OverflowError, not a traceback
+        ("uniqueness", "--bound", "100000000000000000000"),
+        ("verify-inverse", "--bound", "100000000000000000000",
+         "--value-cap", "100000000000000000000", "--x-max", "3"),
     ],
 )
 def test_library_value_error_is_usage_error(capsys, argv):

@@ -20,6 +20,8 @@ from collatzkit import (
     uniqueness_check,
 )
 
+from chain_walk import chain_caps
+
 # The two reference grids, frozen: rows of n1 values by ascending exponent.
 TABLE_EVEN = {
     1: [1, 5, 21, 85, 341, 1365, 5461, 21845, 87381],
@@ -375,26 +377,6 @@ def test_inverse_bfs_matches_literal_bfs(bound, value_cap, x_max):
 @pytest.mark.parametrize("x_max,nodes", [(60, 297_714), (14, 297_100)])
 def test_inverse_bfs_node_counts(x_max, nodes):
     assert inverse_bfs(10**4, 10**6, x_max).nodes_expanded == nodes
-
-
-def chain_caps(n, max_odd_steps=10_000):
-    """Literal forward walk from odd n down to 1.
-
-    Returns the largest odd value on the chain and the longest halving run.
-    By injectivity the inverse-tree path from 1 to n is this chain
-    reversed, so inverse_bfs reaches n exactly when value_cap and x_max
-    are at least these two.
-    """
-    peak, longest_run = n, 0
-    for _ in range(max_odd_steps):
-        if n == 1:
-            return peak, longest_run
-        n, run = 3 * n + 1, 0
-        while n % 2 == 0:
-            n //= 2
-            run += 1
-        peak, longest_run = max(peak, n), max(longest_run, run)
-    raise AssertionError(f"chain did not reach 1 within {max_odd_steps} odd steps")
 
 
 @functools.cache
