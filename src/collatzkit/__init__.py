@@ -24,7 +24,6 @@ from .counting import (
     i_opow_max,
     kj_even,
     kj_odd,
-    power_relation,
     power_relation_integer,
     totals,
     totals_by_summation,

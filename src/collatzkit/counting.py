@@ -85,7 +85,8 @@ class FloorRemainder:
     `remainder` is exact whenever the underlying expression is rational
     (the i-index forms) or the half-log ratio is a power of two (values 0
     and 1/2 come out of the exact path); otherwise it is the IEEE float of
-    the display evaluation.
+    the display evaluation, kept strictly inside (0, 1), so `is_integer`
+    is exact either way.
     """
 
     value: int
@@ -96,18 +97,9 @@ class FloorRemainder:
         return self.remainder == 0
 
 
-def power_relation(n2_i: int, x_i: int, n2_j: int) -> float:
-    """Exponent x_j that would let row n2_j hit the same n1 as (n2_i, x_i):
-    x_j = x_i + log2(n2_i / n2_j), as a float. Integrality is the caller's
-    question; see power_relation_integer."""
-    _require_odd(n2_i, "n2_i")
-    _require_odd(n2_j, "n2_j")
-    _require_positive_int(x_i, "x_i")
-    return x_i + (math.log2(n2_i) - math.log2(n2_j))
-
-
 def power_relation_integer(n2_i: int, x_i: int, n2_j: int) -> int | None:
-    """Exact integer x_j when one exists, else None.
+    """Exponent x_j = x_i + log2(n2_i / n2_j) that lets row n2_j hit the
+    same n1 as (n2_i, x_i), exactly, when it is an integer; else None.
 
     x_j is an integer iff n2_i / n2_j is a power of two; for odd inputs
     that means n2_i == n2_j, which is the injectivity of (n2, x) -> n1
@@ -129,63 +121,11 @@ def i_opow_max(p_n: int) -> int:
     return p_n // 2
 
 
-def i_opow_max_casewise(p_n: int) -> int:
-    # parity split that must agree with the floor form
-    if p_n % 2 == 0:
-        v = Fraction(p_n, 2)
-    else:
-        v = Fraction(p_n, 2) - Fraction(1, 2)
-    if v.denominator != 1:
-        raise ArithmeticError(f"case split gave {v}, not an integer")
-    return int(v)
-
-
 def i_epow_max(p_n: int) -> int:
     """Largest row index i of the 6i+1 class reaching n1 <= 2*p_n - 1 with
     a double halving: floor((p_n - 1) / 4)."""
     _require_positive_int(p_n, "p_n", minimum=2)
     return (p_n - 1) // 4
-
-
-def i_epow_max_casewise(p_n: int) -> int:
-    # four-way split by p_n mod 4, again matching the floor form
-    base = Fraction(p_n - 1, 4)
-    r = p_n % 4
-    if r == 2:  # p = 4s - 2
-        v = base - Fraction(1, 4)
-    elif r == 3:  # p = 4s - 1
-        v = base - Fraction(2, 4)
-    elif r == 0:  # p = 4s
-        v = base - Fraction(3, 4)
-    else:  # p = 4s + 1
-        v = base
-    if v.denominator != 1:
-        raise ArithmeticError(f"case split gave {v}, not an integer")
-    return int(v)
-
-
-def odd_class_max_value(p_n: int) -> int:
-    """6 * i_opow_max - 1: the largest 6i-1 number the bound needs."""
-    return 6 * i_opow_max(p_n) - 1
-
-
-def even_class_max_value(p_n: int) -> int:
-    """6 * i_epow_max + 1: the largest 6i+1 number the bound needs."""
-    return 6 * i_epow_max(p_n) + 1
-
-
-def even_class_max_value_casewise(p_n: int) -> int:
-    # value-level split by p_n mod 4: (3p-4)/2, (3p-7)/2, (3p-10)/2, (3p-1)/2
-    r = p_n % 4
-    if r == 2:
-        num = 3 * p_n - 4
-    elif r == 3:
-        num = 3 * p_n - 7
-    elif r == 0:
-        num = 3 * p_n - 10
-    else:
-        num = 3 * p_n - 1
-    return _exact_div(num, 2, "even-class max value")
 
 
 def geom_sum(a: int, b: int) -> int:
@@ -295,7 +235,10 @@ def _floor_remainder_half_log(num: int, den: int, plus_half: bool) -> FloorRemai
     elif qn == 2 * qd:
         remainder = Fraction(1, 2)
     else:
+        # q within about 1e-16 of 1 or 4 rounds to 0.0 or 1.0; q is neither,
+        # so step back inside the open interval
         remainder = 0.5 * (math.log2(qn) - math.log2(qd))
+        remainder = min(max(remainder, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
     return FloorRemainder(value=value, remainder=remainder)
 
 

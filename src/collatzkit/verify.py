@@ -42,36 +42,6 @@ POOL_MIN_BOUND = 500_000
 _RETURNED = -1
 
 
-def _descent_steps(n: int, max_steps: int) -> int | None:
-    """Steps until the chain from odd n first goes below n, or None if the
-    budget runs out first. Halving runs are charged step by step, so the
-    count is exactly the number of single-step applications.
-
-    This is the literal per-start walk that the sieved sweep is tested
-    against.
-    """
-    if n == 1:
-        return 0
-    nbl = n.bit_length()
-    used = 0
-    v = n
-    while True:
-        w = 3 * v + 1
-        t = (w & -w).bit_length() - 1
-        s = w >> t
-        if s < n:
-            # the drop happens inside this halving run; find its exact spot
-            e = w.bit_length() - nbl
-            if (n << e) > w:
-                e -= 1
-            used += 2 + e  # one odd step, then e+1 halvings
-            return used if used <= max_steps else None
-        used += 1 + t
-        if used > max_steps:
-            return None
-        v = s
-
-
 def _settle(n: int, w: int, used: int, max_steps: int) -> int | None:
     """Walk on from w, a value above odd n that the chain from n reaches
     after `used` single steps, until the chain drops below n or comes back

@@ -15,44 +15,67 @@ from collatzkit import (
     i_opow_max,
     kj_even,
     kj_odd,
-    power_relation,
     power_relation_integer,
     predecessor_of,
     totals,
     totals_by_summation,
 )
-from collatzkit.counting import (
-    even_class_max_value,
-    even_class_max_value_casewise,
-    i_epow_floor,
-    i_epow_max_casewise,
-    i_opow_floor,
-    i_opow_max_casewise,
-    odd_class_max_value,
-)
+from collatzkit.counting import i_epow_floor, i_opow_floor
 
 
-def test_power_relation_same_row():
-    assert power_relation(1, 4, 1) == 4.0
-    assert power_relation(7, 6, 7) == 6.0
+def i_opow_max_casewise(p_n):
+    # oracle: parity split that must agree with the floor form
+    if p_n % 2 == 0:
+        v = Fraction(p_n, 2)
+    else:
+        v = Fraction(p_n, 2) - Fraction(1, 2)
+    if v.denominator != 1:
+        raise ArithmeticError(f"case split gave {v}, not an integer")
+    return int(v)
 
 
-def test_power_relation_shift():
-    # same row two exponents apart: the log term vanishes
-    assert power_relation(5, 3, 5) == 3.0
-    assert power_relation(5, 5, 5) == 5.0
+def i_epow_max_casewise(p_n):
+    # oracle: four-way split by p_n mod 4, again matching the floor form
+    base = Fraction(p_n - 1, 4)
+    r = p_n % 4
+    if r == 2:  # p = 4s - 2
+        v = base - Fraction(1, 4)
+    elif r == 3:  # p = 4s - 1
+        v = base - Fraction(2, 4)
+    elif r == 0:  # p = 4s
+        v = base - Fraction(3, 4)
+    else:  # p = 4s + 1
+        v = base
+    if v.denominator != 1:
+        raise ArithmeticError(f"case split gave {v}, not an integer")
+    return int(v)
 
 
-def test_power_relation_cross_row():
-    got = power_relation(1, 4, 5)
-    assert got == pytest.approx(4 - math.log2(5))
-    assert abs(got - round(got)) > 0.2  # nowhere near an integer
+def even_class_max_value_casewise(p_n):
+    # oracle: value-level split by p_n mod 4: (3p-4)/2, (3p-7)/2, (3p-10)/2, (3p-1)/2
+    r = p_n % 4
+    if r == 2:
+        num = 3 * p_n - 4
+    elif r == 3:
+        num = 3 * p_n - 7
+    elif r == 0:
+        num = 3 * p_n - 10
+    else:
+        num = 3 * p_n - 1
+    q, rem = divmod(num, 2)
+    if rem:
+        raise ArithmeticError(f"even-class max value: {num} is not divisible by 2")
+    return q
 
 
 def test_power_relation_integer_exact():
     assert power_relation_integer(1, 4, 1) == 4
     assert power_relation_integer(1, 4, 5) is None
     assert power_relation_integer(21, 3, 21) == 3
+    # same row, any exponent: the log term vanishes
+    assert power_relation_integer(7, 6, 7) == 6
+    assert power_relation_integer(5, 3, 5) == 3
+    assert power_relation_integer(5, 5, 5) == 5
 
 
 def test_power_relation_never_integer_for_distinct_rows():
@@ -97,7 +120,7 @@ def test_i_max_casewise_agreement():
     for p in range(2, 10**4 + 1):
         assert i_opow_max(p) == i_opow_max_casewise(p)
         assert i_epow_max(p) == i_epow_max_casewise(p)
-        assert even_class_max_value(p) == even_class_max_value_casewise(p)
+        assert 6 * i_epow_max(p) + 1 == even_class_max_value_casewise(p)
 
 
 def test_i_opow_max_semantic_anchor():
@@ -105,7 +128,7 @@ def test_i_opow_max_semantic_anchor():
     # stays inside [1, 2p-1]
     for p in range(2, 10**3 + 1):
         n = 2 * p - 1
-        m = odd_class_max_value(p)
+        m = 6 * i_opow_max(p) - 1
         rec = predecessor_of(m, 1)
         assert rec is not None and rec.n1 <= n
         rec_next = predecessor_of(m + 6, 1)
@@ -243,6 +266,27 @@ def test_kj_remainders_in_unit_interval():
         for i in range(1, 30):
             for fr in (kj_odd(p, i), kj_even(p, i)):
                 assert 0 <= fr.remainder < 1
+
+
+@pytest.mark.parametrize(
+    "kj, p, i",
+    [
+        # ratio just above 2 (odd side) or 4 (even side): q just above 1
+        (kj_odd, 2 * 10**15 + 1, 10**15),
+        (kj_odd, 2 * 10**17 + 1, 10**17),
+        (kj_even, 4 * 10**15 + 2, 10**15),
+        # ratio just below 8 (odd side) or 16 (even side): q just below 4
+        (kj_odd, 8 * 10**17 - 2, 10**17),
+        (kj_even, 16 * 10**15 + 2, 10**15),
+    ],
+)
+def test_kj_remainder_near_a_power_of_two_stays_inexact(kj, p, i):
+    # the float half-log of q rounds to 0.0 or 1.0 here, though the ratio
+    # is no power of two
+    got = kj(p, i)
+    assert got.value == 1
+    assert 0 < got.remainder < 1
+    assert not got.is_integer
 
 
 def test_kj_value_plus_remainder_matches_float_evaluation():

@@ -26,7 +26,6 @@ from collatzkit import (
     kj_odd,
     odd_range_candidate,
     odd_successor,
-    power_relation,
     power_relation_integer,
     predecessor_of,
     predecessors,
@@ -54,9 +53,6 @@ DOMAINS = {
     "PowerParams.k_n": (lambda v: PowerParams(p_n=3, k_n=v), 2),
     "PowerParams.from_k": (PowerParams.from_k, 2),
     "PowerParams.from_bound": (PowerParams.from_bound, 3),
-    "power_relation.n2_i": (lambda v: power_relation(v, 1, 1), 1),
-    "power_relation.x_i": (lambda v: power_relation(1, v, 1), 1),
-    "power_relation.n2_j": (lambda v: power_relation(1, 1, v), 1),
     "power_relation_integer.n2_i": (lambda v: power_relation_integer(v, 1, 1), 1),
     "power_relation_integer.x_i": (lambda v: power_relation_integer(1, v, 1), 1),
     "power_relation_integer.n2_j": (lambda v: power_relation_integer(1, 1, v), 1),

@@ -20,7 +20,6 @@ from collatzkit.verify import (
     POOL_MIN_BOUND,
     SIEVE_MAX_DEPTH,
     _block_bounds,
-    _descent_steps,
     _settle,
     _sieve,
     _sweep_block,
@@ -56,16 +55,14 @@ def naive_descent_steps(n, max_steps):
     return None
 
 
-def test_descent_steps_against_oracle():
-    for n in range(1, 4001, 2):
-        assert _descent_steps(n, 10**4) == naive_descent_steps(n, 10**4)
-
-
 def test_descent_steps_budget():
-    assert _descent_steps(3, 5) is None  # 3 needs 6 steps to dip below itself
-    assert _descent_steps(3, 6) == 6
-    assert _descent_steps(7, 11) == 11
-    assert _descent_steps(7, 10) is None
+    assert naive_descent_steps(3, 5) is None  # 3 needs 6 steps to dip below itself
+    assert naive_descent_steps(3, 6) == 6
+    assert naive_descent_steps(7, 11) == 11
+    assert naive_descent_steps(7, 10) is None
+    for n, need in ((3, 6), (7, 11)):
+        assert (n, "maxStepsExceeded") in verify_forward(n, need - 1, shards=1).failures
+        assert verify_forward(n, need, shards=1).failures == ()
 
 
 def oracle_sweep(lo, hi, max_steps):
@@ -73,7 +70,7 @@ def oracle_sweep(lo, hi, max_steps):
     # one literal walk per start
     verified, failures, max_used = 0, [], 0
     for n in range(lo, hi, 2):
-        got = _descent_steps(n, max_steps)
+        got = naive_descent_steps(n, max_steps)
         if got is None:
             failures.append((n, "maxStepsExceeded"))
         else:
@@ -112,7 +109,7 @@ def test_sieve_thresholds_are_exact():
     # each class's smallest start >= 3 descends at exactly the class's count
     for mod, r, steps in exits:
         n = r if r >= 3 else r + mod
-        assert _descent_steps(n, 10**4) == steps, (mod, r)
+        assert naive_descent_steps(n, 10**4) == steps, (mod, r)
     # around the largest residue of a sieved class, at the class's own count
     top = max(r for _, r, _ in exits)
     assert top == 65_439
@@ -218,7 +215,7 @@ def test_cycle_scan_finds_only_terminal_cycle():
 def test_cycle_scan_undecided_matches_oracle(bound):
     for max_steps in (1, 6, 20, 100):
         report = cycle_scan(bound, max_steps)
-        undecided = [n for n in range(3, bound + 1, 2) if _descent_steps(n, max_steps) is None]
+        undecided = [n for n in range(3, bound + 1, 2) if naive_descent_steps(n, max_steps) is None]
         assert list(report.undecided) == undecided
         assert [c.members for c in report.cycles] == [(1, 4, 2)]
     report = cycle_scan(bound)
