@@ -8,7 +8,10 @@ exact rationals; no floating point enters the forward dynamics.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import multiprocessing
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +34,27 @@ def _require_odd(n: int, name: str = "n", minimum: int = 1) -> None:
     _require_positive_int(n, name, minimum)
     if n % 2 == 0:
         raise ValueError(f"{name} must be odd, got {n}")
+
+
+@contextlib.contextmanager
+def _pool(workers: int) -> Iterator[Callable[..., list]]:
+    """A list-returning map, like the builtin map over one or more
+    iterables: across `workers` forked processes, one task per dispatch in
+    order of submission, or in-process when workers == 1.
+
+    The pool lives as long as the with block, so a caller with several
+    rounds of tasks starts it once. On leaving the block, a worker's
+    exception included, every worker is stopped and reaped.
+    """
+    if workers == 1:
+        yield lambda f, *args: list(map(f, *args))
+        return
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:
+        ctx = multiprocessing.get_context()
+    with ctx.Pool(workers) as pool:
+        yield lambda f, *args: pool.starmap(f, zip(*args), chunksize=1)
 
 
 def step(n: int) -> int:

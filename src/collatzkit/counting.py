@@ -85,8 +85,9 @@ class FloorRemainder:
     `remainder` is exact whenever the underlying expression is rational
     (the i-index forms) or the half-log ratio is a power of two (values 0
     and 1/2 come out of the exact path); otherwise it is the IEEE float of
-    the display evaluation, kept strictly inside (0, 1), so `is_integer`
-    is exact either way.
+    the display evaluation, kept strictly inside (0, 1/2) or (1/2, 1), the
+    side the exact value lies on, so `is_integer` and a comparison with
+    1/2 are exact either way.
     """
 
     value: int
@@ -235,10 +236,14 @@ def _floor_remainder_half_log(num: int, den: int, plus_half: bool) -> FloorRemai
     elif qn == 2 * qd:
         remainder = Fraction(1, 2)
     else:
-        # q within about 1e-16 of 1 or 4 rounds to 0.0 or 1.0; q is neither,
-        # so step back inside the open interval
+        # q within about 1e-16 of 1, 2 or 4 rounds to 0.0, 0.5 or 1.0; q is
+        # none of them, so step back inside the open interval on q's side of 2
         remainder = 0.5 * (math.log2(qn) - math.log2(qd))
-        remainder = min(max(remainder, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
+        if qn < 2 * qd:
+            lo, hi = math.nextafter(0.0, 1.0), math.nextafter(0.5, 0.0)
+        else:
+            lo, hi = math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0)
+        remainder = min(max(remainder, lo), hi)
     return FloorRemainder(value=value, remainder=remainder)
 
 

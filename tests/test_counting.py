@@ -289,6 +289,24 @@ def test_kj_remainder_near_a_power_of_two_stays_inexact(kj, p, i):
     assert not got.is_integer
 
 
+@pytest.mark.parametrize(
+    "kj,p,i,above_half",
+    [
+        # the ratio is 4 + 2/(6i-1), so q = ratio/2 lies just above 2
+        (kj_odd, 4 * 10**17, 10**17, True),
+        # the ratio is 8 - 4/(6i+1), so q = ratio/4 lies just below 2
+        (kj_even, 8 * 10**15 + 1, 10**15, False),
+    ],
+)
+def test_kj_remainder_near_two_stays_off_one_half(kj, p, i, above_half):
+    # the float half-log of q rounds to 0.5 here, the exact remainder that
+    # only a power-of-two ratio has
+    got = kj(p, i)
+    assert isinstance(got.remainder, float)
+    assert got.remainder != Fraction(1, 2)
+    assert (got.remainder > 0.5) if above_half else (got.remainder < 0.5)
+
+
 def test_kj_value_plus_remainder_matches_float_evaluation():
     for p in range(2, 60):
         for i in range(1, 20):

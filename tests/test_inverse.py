@@ -1,6 +1,7 @@
 """Inverse recurrence: classification, predecessor records, tables, tree walk."""
 
 import functools
+import os
 from collections import deque
 
 import pytest
@@ -191,7 +192,11 @@ def test_record_counter_matches_the_row_walk():
         buckets = [0, 0, 0]
         for n2, _, _ in inverse._records(range(1, 3 * n + 2, 2), n):
             buckets[0 if n2 == 1 else 1 if n2 % 6 == 5 else 2] += 1
-        assert inverse._count_records_by_class(n) == tuple(buckets), n
+        assert inverse._count_records_by_class(n, 0, 1) == tuple(buckets), n
+        # the interleaved parts of the rows sum to the same buckets
+        for parts in (2, 3):
+            counts = [inverse._count_records_by_class(n, part, parts) for part in range(parts)]
+            assert [sum(c) for c in zip(*counts)] == buckets, (n, parts)
 
 
 def _column_records(bound):
@@ -347,31 +352,54 @@ def literal_bfs(bound, value_cap, x_max):
     return reached, set(range(1, bound + 1, 2)) - reached, expanded
 
 
-@pytest.mark.parametrize(
-    "bound,value_cap,x_max",
-    [
-        (1, 1, 1),
-        (1, 1, 2),
-        (1, 5, 4),
-        (99, 99, 1),
-        (99, 99, 2),
-        (99, 99, 60),
-        (999, 10**4, 1),
-        (999, 10**4, 2),
-        (2001, 10**5, 60),
-        (10**4, 10**4, 60),
-        (10**4, 10**5, 8),
-        (10**4, 10**6, 8),
-        (10**4, 10**6, 14),
-        (10**4, 10**6, 60),
-    ],
-)
+LITERAL_GRID = [
+    (1, 1, 1),
+    (1, 1, 2),
+    (1, 5, 4),
+    (99, 99, 1),
+    (99, 99, 2),
+    (99, 99, 60),
+    (999, 10**4, 1),
+    (999, 10**4, 2),
+    (2001, 10**5, 60),
+    (10**4, 10**4, 60),
+    (10**4, 10**5, 8),
+    (10**4, 10**6, 8),
+    (10**4, 10**6, 14),
+    (10**4, 10**6, 60),
+]
+
+
+@pytest.mark.parametrize("bound,value_cap,x_max", LITERAL_GRID)
 def test_inverse_bfs_matches_literal_bfs(bound, value_cap, x_max):
     report = inverse_bfs(bound, value_cap, x_max)
     reached, unreached, expanded = literal_bfs(bound, value_cap, x_max)
     assert report.reached == reached
     assert report.unreached == unreached
     assert report.nodes_expanded == expanded
+
+
+@functools.cache
+def cached_literal_bfs(bound, value_cap, x_max):
+    return literal_bfs(bound, value_cap, x_max)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("bound,value_cap,x_max", LITERAL_GRID)
+def test_pooled_inverse_bfs_matches_literal_bfs(monkeypatch, cpus, bound, value_cap, x_max):
+    # every cap pools on more than one CPU, in rounds of at most `budget`
+    # nodes per part; budget 1 only where the rounds stay few enough to run
+    reached, unreached, expanded = cached_literal_bfs(bound, value_cap, x_max)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(inverse, "POOL_MIN_CAP", 1)
+    for budget in (1, 1000, inverse.WALK_BUDGET):
+        if expanded > 5000 * budget:
+            continue
+        monkeypatch.setattr(inverse, "WALK_BUDGET", budget)
+        report = inverse_bfs(bound, value_cap, x_max)
+        assert report.reached == reached
+        assert report.unreached == unreached
+        assert report.nodes_expanded == expanded
 
 
 @pytest.mark.parametrize("x_max,nodes", [(60, 297_714), (14, 297_100)])
