@@ -5,8 +5,9 @@ JSON/CSV and exits 0 only when the run's internal checks pass: identity
 mismatches, unexpected cycles, cycle-scan starts left undecided, a `seq`
 chain that runs out of its step budget before reaching 1, sweep failures
 and coverage gaps all exit 1. Usage problems, including values the
-library rejects or cannot index, exit 2 with a one-line error. Output for
-a given configuration is stable byte-for-byte except for wall-time fields.
+library rejects, cannot index or cannot hold in memory, exit 2 with a
+one-line error. Output for a given configuration is stable byte-for-byte
+except for wall-time fields.
 """
 
 from __future__ import annotations
@@ -218,6 +219,8 @@ def _cmd_uniqueness(args: argparse.Namespace) -> int:
     else:
         print(f"bound={report.bound} records={report.records_checked} "
               f"violations={len(report.violations)}")
+    if report.records_checked != report.records_expected:
+        print(f"records checked: {report.records_checked}, expected {report.records_expected}", file=sys.stderr)
     return 0 if report.ok else CHECK_FAILED
 
 
@@ -310,4 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         # the library rejects a value the parser let through, or one too
         # large for the machine to index
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError:  # its message is empty, so name the cause here
+        print("error: out of memory: a value is too large for this machine", file=sys.stderr)
         return USAGE_ERROR

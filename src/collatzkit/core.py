@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import multiprocessing
+import os
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,24 +38,28 @@ def _require_odd(n: int, name: str = "n", minimum: int = 1) -> None:
 
 
 @contextlib.contextmanager
-def _pool(workers: int) -> Iterator[Callable[..., list]]:
-    """A list-returning map, like the builtin map over one or more
-    iterables: across `workers` forked processes, one task per dispatch in
-    order of submission, or in-process when workers == 1.
+def _pool(most: int | None = None) -> Iterator[tuple[int, Callable[..., list]]]:
+    """(workers, map): workers = min(most, CPUs), most=None for one per CPU,
+    and map is list-returning, like the builtin map over one or more
+    iterables, across `workers` forked processes, one task per dispatch in
+    order of submission. Without fork (the pool thresholds were fitted for
+    it), workers is 1; with one worker, map runs in-process.
 
     The pool lives as long as the with block, so a caller with several
     rounds of tasks starts it once. On leaving the block, a worker's
     exception included, every worker is stopped and reaped.
     """
-    if workers == 1:
-        yield lambda f, *args: list(map(f, *args))
-        return
+    cpus = os.cpu_count() or 1
+    workers = min(most or cpus, cpus)
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
-        ctx = multiprocessing.get_context()
+        workers = 1
+    if workers == 1:
+        yield 1, lambda f, *args: list(map(f, *args))
+        return
     with ctx.Pool(workers) as pool:
-        yield lambda f, *args: pool.starmap(f, zip(*args), chunksize=1)
+        yield workers, lambda f, *args: pool.starmap(f, zip(*args), chunksize=1)
 
 
 def step(n: int) -> int:

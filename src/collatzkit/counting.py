@@ -83,11 +83,11 @@ class FloorRemainder:
     """A floored expression together with its fractional part.
 
     `remainder` is exact whenever the underlying expression is rational
-    (the i-index forms) or the half-log ratio is a power of two (values 0
-    and 1/2 come out of the exact path); otherwise it is the IEEE float of
-    the display evaluation, kept strictly inside (0, 1/2) or (1/2, 1), the
-    side the exact value lies on, so `is_integer` and a comparison with
-    1/2 are exact either way.
+    (the i-index forms, the only source of 1/2) or the half-log ratio is a
+    power of two (the remainder is then exactly 0); otherwise it is the IEEE
+    float of the display evaluation, kept strictly inside (0, 1/2) or
+    (1/2, 1), the side the exact value lies on, so `is_integer` and a
+    comparison with 1/2 are exact either way.
     """
 
     value: int
@@ -225,7 +225,10 @@ def _floor_remainder_half_log(num: int, den: int, plus_half: bool) -> FloorRemai
     e = _floor_log2_ratio(num, den)
     value = (e + 1) // 2 if plus_half else e // 2
     # remainder = half-log of q where q = num / (den * 2^m), m the subtracted
-    # integer exponent; q lands in [1, 4) and q = 1 or 2 are the exact cases
+    # integer exponent; q lands in [1, 4) and only q = 1 is exact. q = 2
+    # never occurs: mod 3, num = 6p-2 is 1, den is 2 (6i-1) or 1 (6i+1) and
+    # 2^t is 2 for odd t, 1 for even t, so num/den = 2^t needs t odd in
+    # kj_odd and t even in kj_even, and both subtract m = t
     m = 2 * value - 1 if plus_half else 2 * value
     if m >= 0:
         qn, qd = num, den << m
@@ -233,8 +236,6 @@ def _floor_remainder_half_log(num: int, den: int, plus_half: bool) -> FloorRemai
         qn, qd = num << -m, den
     if qn == qd:
         remainder: Fraction | float = Fraction(0)
-    elif qn == 2 * qd:
-        remainder = Fraction(1, 2)
     else:
         # q within about 1e-16 of 1, 2 or 4 rounds to 0.0, 0.5 or 1.0; q is
         # none of them, so step back inside the open interval on q's side of 2

@@ -15,32 +15,31 @@ Every odd n1 has exactly one parent, its odd successor, since x must be
 the 2-adic valuation of 3*n1 + 1. With the self pair excluded, expansion
 from 1 is therefore a tree: inverse_bfs walks it with a plain stack and
 needs no visited set, and any split of the open stack gives parts that
-share no node, so a large walk runs in budgeted rounds across processes.
+share no node, so the walk runs in budgeted rounds, pooled when large.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import _pool, _require_odd, _require_positive_int
 
 SELF_ITERATION = (1, 2)
-# From this value cap up, on more than one CPU, the tree walk runs across
-# processes (see inverse_bfs). On 2 cores (medians of 7, bound 1e4, x_max
-# 60) a pooled walk took 0.092 s against 0.098 s in-process at cap 1e6,
-# 0.171 s against 0.216 s at 2e6 and 0.211 s against 0.289 s at 3e6.
+# From this value cap up, the tree walk's rounds run across processes (see
+# inverse_bfs). On 2 cores (medians of 7, bound 1e4, x_max 60) a pooled
+# walk took 0.092 s against 0.098 s in-process at cap 1e6, 0.171 s against
+# 0.216 s at 2e6 and 0.211 s against 0.289 s at 3e6.
 POOL_MIN_CAP = 2_000_000
-# A pooled round deals the open stack into WALK_PARTS parts per CPU, each
+# A round deals the open stack into WALK_PARTS parts per worker, each
 # walking at most WALK_BUDGET nodes. At cap 9,038,141 (2,683,277 nodes)
-# that is 17 rounds: about 0.62 s against 1.0 s in-process on 2 cores, where
-# budgets of 10,000 to 200,000 at 1 to 8 parts per CPU took 0.57-0.90 s.
-# Any split made once leaves one core with most of the work: cut at a
-# breadth-first frontier of 10,490 nodes, one subtree still holds 39% of
-# the tree.
+# that is 17 pooled rounds: about 0.62 s against 1.0 s in-process on 2
+# cores, where budgets of 10,000 to 200,000 at 1 to 8 parts per CPU took
+# 0.57-0.90 s. Any split made once leaves one core with most of the work:
+# cut at a breadth-first frontier of 10,490 nodes, one subtree still holds
+# 39% of the tree.
 WALK_BUDGET = 50_000
 WALK_PARTS = 2
 
@@ -195,17 +194,19 @@ def table_to_csv(table: PredecessorTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _count_records_by_class(n: int, part: int, parts: int) -> tuple[int, int, int]:
-    # records with n1 <= n by row class: row n2=1 (self pair included),
-    # rows 6i-1, rows 6i+1 (n2 > 1); the brute side of the totals check.
-    # Only the rows rows[part::parts] of each class are counted, so the
-    # parts 0..parts-1 of one n sum to its whole count.
-    cap = 3 * n + 1
-    return (
-        _count_rows(range(1, 2)[part::parts], 2, cap),
-        _count_rows(range(5, (cap >> 1) + 1, 6)[part::parts], 1, cap),
-        _count_rows(range(7, (cap >> 2) + 1, 6)[part::parts], 2, cap),
-    )
+def _count_records_by_class(ns: list[int], part: int, parts: int) -> list[tuple[int, int, int]]:
+    # for each n of ns, the records with n1 <= n by row class: row n2=1
+    # (self pair included), rows 6i-1, rows 6i+1 (n2 > 1); the brute side
+    # of the totals check. Only the rows rows[part::parts] of each class
+    # are counted, so the parts 0..parts-1 of one n sum to its whole count.
+    return [
+        (
+            _count_rows(range(1, 2)[part::parts], 2, cap),
+            _count_rows(range(5, (cap >> 1) + 1, 6)[part::parts], 1, cap),
+            _count_rows(range(7, (cap >> 2) + 1, 6)[part::parts], 2, cap),
+        )
+        for cap in [3 * n + 1 for n in ns]
+    ]
 
 
 def _count_rows(rows: range, x: int, cap: int) -> int:
@@ -227,8 +228,13 @@ class UniquenessReport:
     violations: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
     @property
+    def records_expected(self) -> int:
+        # every odd n1 in (1, bound] has exactly one record, its odd successor's
+        return (self.bound + 1) // 2 - 1
+
+    @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations and self.records_checked == self.records_expected
 
 
 def _columns(bound: int) -> Iterator[tuple[int, int, slice]]:
@@ -353,11 +359,11 @@ def inverse_bfs(bound: int, value_cap: int, x_max: int) -> CoverageReport:
     """Depth-first inverse expansion from 1 under the two caps.
 
     The name is historical: the walk is depth first, since the order in
-    which the tree is visited changes none of the report. From a value cap
-    of POOL_MIN_CAP up, on more than one CPU, the walk runs in rounds
-    across processes: each round deals the open stack into interleaved
-    parts, each part walks at most WALK_BUDGET nodes, and what the parts
-    leave open is the next round's stack.
+    which the tree is visited changes none of the report. It runs in
+    rounds: each deals the open stack into WALK_PARTS interleaved parts per
+    worker, each part walks at most WALK_BUDGET nodes, and what the parts
+    leave open is the next round's stack. From a value cap of POOL_MIN_CAP
+    up the rounds run on one worker per CPU, below it in one process.
     """
     _require_positive_int(bound, "bound")
     _require_positive_int(value_cap, "value_cap", minimum=bound)
@@ -368,15 +374,11 @@ def inverse_bfs(bound: int, value_cap: int, x_max: int) -> CoverageReport:
     # what is reached from 1 is a tree and no value is reached twice, and
     # the parts of a round share no node.
     reached = bytearray((bound + 1) // 2)  # odd v <= bound at index v >> 1
-    cpus = os.cpu_count() or 1
-    pooled = cpus > 1 and value_cap >= POOL_MIN_CAP
-    # in-process, one round of one part whose budget never runs out, since
-    # the tree holds distinct odd values <= value_cap
-    parts, budget = (WALK_PARTS * cpus, WALK_BUDGET) if pooled else (1, value_cap)
-    walk = functools.partial(_walk, bound=bound, value_cap=value_cap, x_max=x_max, budget=budget)
+    walk = functools.partial(_walk, bound=bound, value_cap=value_cap, x_max=x_max, budget=WALK_BUDGET)
     # the root's row first, so that the first round has parts to deal
     expanded, hits, stack = _walk([1], bound, value_cap, x_max, 1)
-    with _pool(cpus if pooled else 1) as run:
+    with _pool(None if value_cap >= POOL_MIN_CAP else 1) as (workers, run):
+        parts = WALK_PARTS * workers
         while stack:
             results = run(walk, [stack[s::parts] for s in range(min(parts, len(stack)))])
             stack = []

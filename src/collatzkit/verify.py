@@ -35,13 +35,12 @@ from .ranges import odd_range_candidate
 SIEVE_MAX_DEPTH = 16
 # Starting a shard pool costs 12-25 ms; on 2 cores a pooled sweep first
 # beats an in-process one at a bound of about 400,000 (measured), so below
-# this bound a sweep runs in-process whatever the shard count.
-POOL_MIN_BOUND = 500_000
-# From this k_max up, on more than one CPU, the cross-check counts its rows
-# across processes. On 2 cores (medians of 5) pooling took 0.024 s against
+# this bound a sweep runs in-process whatever the shard count. The
+# cross-check pools from the same N, which is k_max 11 (N_10 = 349,525,
+# N_11 = 1,398,101): on 2 cores (medians of 5) pooling took 0.024 s against
 # 0.011 s in-process at k_max 9, 0.033 s against 0.044 s at 10, 0.086 s
 # against 0.136 s at 11 and 0.28 s against 0.51 s at 12.
-CROSS_CHECK_POOL_MIN_K = 11
+POOL_MIN_BOUND = 500_000
 # _settle's result for a chain that comes back to its start
 _RETURNED = -1
 
@@ -127,11 +126,10 @@ def _sieve_depth(bound: int) -> int:
     return max(1, min(SIEVE_MAX_DEPTH, bound.bit_length() - 2))
 
 
-def _sweep_block(args: tuple[int, int, int, int]) -> tuple[int, list[tuple[int, str]], int]:
+def _sweep_block(lo: int, hi: int, max_steps: int, depth: int) -> tuple[int, list[tuple[int, str]], int]:
     """Settle every odd start in [lo, hi): (descended, failures in
     ascending order, largest descent count). A failure's reason is
     "maxStepsExceeded" or, for a start its chain comes back to, "cycle"."""
-    lo, hi, max_steps, depth = args
     exits, survivors = _sieve(depth)
     verified = max_used = 0
     failures: list[tuple[int, str]] = []
@@ -216,20 +214,18 @@ def _sweep(bound: int, max_steps: int, shards: int) -> tuple[int, list[tuple[int
     """Settle every odd start <= bound: (descended, failures in ascending
     order, largest descent count).
 
-    Work is split into `shards` contiguous blocks and merged back in block
-    order, so the result is the same for any shard count. Below
-    POOL_MIN_BOUND the sweep runs in-process as one block.
+    Work is split into one contiguous block per worker (at most `shards`)
+    and merged back in block order, so the result is the same for any shard
+    count. Below POOL_MIN_BOUND the sweep runs in-process as one block.
     """
     _require_positive_int(bound, "bound")
     _require_positive_int(max_steps, "max_steps")
     _require_positive_int(shards, "shards")
-    cpus = os.cpu_count() or 1
     depth = _sieve_depth(bound)
     _sieve(depth)  # built here, so that forked workers inherit the table
-    pooled = shards > 1 and cpus > 1 and bound >= POOL_MIN_BOUND
-    blocks = [(lo, hi, max_steps, depth) for lo, hi in _block_bounds(bound, shards if pooled else 1)]
-    with _pool(min(len(blocks), cpus)) as run:
-        results = run(_sweep_block, blocks)
+    block = functools.partial(_sweep_block, max_steps=max_steps, depth=depth)
+    with _pool(shards if bound >= POOL_MIN_BOUND else 1) as (workers, run):
+        results = run(block, *zip(*_block_bounds(bound, workers)))
     failures = [f for r in results for f in r[1]]
     return sum(r[0] for r in results), failures, max(r[2] for r in results)
 
@@ -241,9 +237,9 @@ def verify_forward(
 ) -> VerifyReport:
     """Confirm by descent every odd start <= bound.
 
-    Work is split into `shards` contiguous blocks (default: one per CPU).
-    The report is byte-identical for any shard count, apart from the
-    shard count it echoes; only wall_time moves.
+    Work runs on at most `shards` workers (default: one per CPU), one
+    contiguous block each. The report is byte-identical for any shard
+    count, apart from the shard count it echoes; only wall_time moves.
     """
     if shards is None:
         shards = os.cpu_count() or 1
@@ -426,23 +422,16 @@ class CrossCheckEntry:
 
 def cross_check_totals(k_max: int) -> tuple[CrossCheckEntry, ...]:
     """For k = 2..k_max, compare the closed-form totals with the brute odd
-    count and with a direct per-class enumeration of the records."""
+    count and with a direct per-class enumeration of the records, from
+    N_kmax >= POOL_MIN_BOUND up in one interleaved part of rows per CPU."""
     _require_positive_int(k_max, "k_max", minimum=2)
     reports = [totals(k) for k in range(2, k_max + 1)]
-    # from CROSS_CHECK_POOL_MIN_K up, each N's rows are counted in one
-    # interleaved part per CPU, across processes
-    cpus = os.cpu_count() or 1
-    parts = cpus if k_max >= CROSS_CHECK_POOL_MIN_K else 1
-    with _pool(parts) as run:
-        counts = run(
-            _count_records_by_class,
-            [rep.n for rep in reports for _ in range(parts)],
-            itertools.cycle(range(parts)),
-            itertools.repeat(parts),
-        )
+    ns = [rep.n for rep in reports]
+    with _pool(None if ns[-1] >= POOL_MIN_BOUND else 1) as (parts, run):
+        counts = run(_count_records_by_class, [ns] * parts, range(parts), [parts] * parts)
     entries = []
-    for i, rep in enumerate(reports):
-        root, opow, epow = map(sum, zip(*counts[i * parts : (i + 1) * parts]))
+    for rep, by_part in zip(reports, zip(*counts)):
+        root, opow, epow = map(sum, zip(*by_part))
         entries.append(
             CrossCheckEntry(totals=rep, root_row_count=root, opow_count=opow, epow_count=epow)
         )

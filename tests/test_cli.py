@@ -1,5 +1,6 @@
 """Command line behavior: output formats, exit codes, stability."""
 
+import itertools
 import json
 import re
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from collatzkit import DEFAULT_MAX_STEPS, cli
+from collatzkit import DEFAULT_MAX_STEPS, cli, inverse
 from collatzkit.cli import build_parser, main
 
 TABLE2_CSV = """n2,x,n1,class,generates
@@ -234,6 +235,31 @@ def test_library_value_error_is_usage_error(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_memory_error_is_usage_error(capsys, monkeypatch):
+    # a bound too large to hold a byte per odd number in memory
+    def out_of_memory(bound):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "uniqueness_check", out_of_memory)
+    code = main(["uniqueness", "--bound", "10000000000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_uniqueness_exits_one_when_a_record_column_is_missed(capsys, monkeypatch):
+    # no collision shows, but the scan no longer sees one record per odd n1
+    columns = inverse._columns
+    monkeypatch.setattr(inverse, "_columns", lambda bound: itertools.islice(columns(bound), 1, None))
+    code = main(["uniqueness", "--bound", "1001", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["violations"] == []
+    assert "expected 500" in captured.err
 
 
 def test_totals_kmax_33_exits_zero(capsys):

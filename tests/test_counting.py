@@ -307,6 +307,19 @@ def test_kj_remainder_near_two_stays_off_one_half(kj, p, i, above_half):
     assert (got.remainder > 0.5) if above_half else (got.remainder < 0.5)
 
 
+def test_kj_exact_remainders_are_zero():
+    # a power-of-two ratio leaves q = 1, never 2 (6p-2, 6i-1 and 6i+1 are
+    # 1, 2 and 1 mod 3), so an exact half-log remainder is 0, never 1/2
+    exact = 0
+    for p in range(2, 200):
+        for i in range(1, p + 1):
+            for fr in (kj_odd(p, i), kj_even(p, i)):
+                if isinstance(fr.remainder, Fraction):
+                    exact += 1
+                    assert fr.remainder == 0, (p, i)
+    assert exact > 100
+
+
 def test_kj_value_plus_remainder_matches_float_evaluation():
     for p in range(2, 60):
         for i in range(1, 20):

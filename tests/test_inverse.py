@@ -192,10 +192,10 @@ def test_record_counter_matches_the_row_walk():
         buckets = [0, 0, 0]
         for n2, _, _ in inverse._records(range(1, 3 * n + 2, 2), n):
             buckets[0 if n2 == 1 else 1 if n2 % 6 == 5 else 2] += 1
-        assert inverse._count_records_by_class(n, 0, 1) == tuple(buckets), n
+        assert inverse._count_records_by_class([n], 0, 1) == [tuple(buckets)], n
         # the interleaved parts of the rows sum to the same buckets
         for parts in (2, 3):
-            counts = [inverse._count_records_by_class(n, part, parts) for part in range(parts)]
+            counts = [inverse._count_records_by_class([n], part, parts)[0] for part in range(parts)]
             assert [sum(c) for c in zip(*counts)] == buckets, (n, parts)
 
 
@@ -218,6 +218,14 @@ def test_columns_hold_the_records_of_the_row_walk():
     # the uniqueness scan's columns against the row walk, self pair dropped
     for bound in [*range(1, 2001), 999_983]:
         assert _column_records(bound) == _row_records(bound), bound
+
+
+def test_uniqueness_checks_one_record_per_odd_above_one():
+    # each odd n1 in (1, bound] has exactly one record, its odd successor's
+    for bound in range(1, 2000):
+        report = uniqueness_check(bound)
+        assert report.records_checked == report.records_expected == (bound + 1) // 2 - 1
+        assert report.ok
 
 
 def test_uniqueness_large_bound():

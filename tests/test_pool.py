@@ -1,5 +1,6 @@
-"""The shard pool: reports that do not depend on the worker count or the
-walk budget, and no worker process left behind, also after a worker raised."""
+"""The shard pool: its width, reports that do not depend on the worker count
+or the walk budget, and no worker process left behind, also after a worker
+raised or where the platform cannot fork."""
 
 import contextlib
 import io
@@ -8,7 +9,7 @@ import os
 
 import pytest
 
-from collatzkit import cross_check_totals, inverse, inverse_bfs, verify, verify_forward
+from collatzkit import core, cross_check_totals, inverse, inverse_bfs, verify, verify_forward
 from collatzkit.cli import main
 
 
@@ -17,7 +18,6 @@ def _pool_everything(monkeypatch, cpus, budget=inverse.WALK_BUDGET):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(inverse, "POOL_MIN_CAP", 1)
     monkeypatch.setattr(inverse, "WALK_BUDGET", budget)
-    monkeypatch.setattr(verify, "CROSS_CHECK_POOL_MIN_K", 2)
     monkeypatch.setattr(verify, "POOL_MIN_BOUND", 1)
 
 
@@ -28,11 +28,61 @@ def _stdout(argv):
     return code, out.getvalue()
 
 
+def _reports():
+    forward = verify_forward(10_001, shards=2).to_dict()
+    del forward["wall_time"]
+    return inverse_bfs(999, 10**5, 60), cross_check_totals(6), forward
+
+
 CLI_CALLS = [
     ["verify-inverse", "--bound", "999", "--value-cap", "10000", "--x-max", "60", "--format", "json"],
     ["verify-inverse", "--bound", "2001", "--value-cap", "2001", "--x-max", "12", "--format", "json"],
     ["cross-check", "--kmax", "9", "--format", "json"],
 ]
+
+
+@pytest.mark.parametrize(
+    "cpus,most,width",
+    [(None, None, 1), (1, None, 1), (1, 4, 1), (3, None, 3), (3, 2, 2), (3, 5, 3), (3, 1, 1)],
+)
+def test_pool_width_is_at_most_one_worker_per_cpu(monkeypatch, cpus, most, width):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    with core._pool(most) as (workers, run):
+        assert workers == width
+        assert run(pow, [2, 3, 5], [3, 2, 1]) == [8, 9, 5]
+    assert multiprocessing.active_children() == []
+
+
+def test_without_fork_every_call_runs_in_process(monkeypatch):
+    _pool_everything(monkeypatch, 2)
+    pooled = _reports()
+
+    def get_context(method=None):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        pytest.fail(f"asked for the {method!r} start method")
+
+    def fork():
+        pytest.fail("a child process was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(os, "fork", fork)
+    assert _reports() == pooled
+    assert multiprocessing.active_children() == []
+
+
+def test_cross_check_pools_from_kmax_11(monkeypatch):
+    # N_10 = 349,525 < POOL_MIN_BOUND <= N_11 = 1,398,101
+    asked = []
+    real_pool = verify._pool
+
+    def recording_pool(most=None):
+        asked.append(most)
+        return real_pool(most)
+
+    monkeypatch.setattr(verify, "_pool", recording_pool)
+    assert all(e.counts_match for e in cross_check_totals(10) + cross_check_totals(11))
+    assert asked == [1, None]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])

@@ -90,10 +90,10 @@ def test_sieved_sweep_matches_oracle_to_1e6(max_steps):
 def test_sieved_block_matches_oracle_at_every_depth(max_steps):
     expected = oracle_sweep(1, 20_001, max_steps)
     for depth in range(1, SIEVE_MAX_DEPTH + 1):
-        assert _sweep_block((1, 20_001, max_steps, depth)) == expected, depth
+        assert _sweep_block(1, 20_001, max_steps, depth) == expected, depth
     # a block that starts past 1 and ends off any class boundary
     for depth in (5, 12, SIEVE_MAX_DEPTH):
-        assert _sweep_block((20_003, 31_337, max_steps, depth)) == oracle_sweep(20_003, 31_337, max_steps)
+        assert _sweep_block(20_003, 31_337, max_steps, depth) == oracle_sweep(20_003, 31_337, max_steps)
 
 
 def test_sieve_thresholds_are_exact():
@@ -116,7 +116,7 @@ def test_sieve_thresholds_are_exact():
     steps = next(s for _, r, s in exits if r == top)
     lo, hi = top - 4000, top + 2**17 + 1
     for max_steps in (steps - 1, steps, 100_000):
-        assert _sweep_block((lo, hi, max_steps, SIEVE_MAX_DEPTH)) == oracle_sweep(lo, hi, max_steps)
+        assert _sweep_block(lo, hi, max_steps, SIEVE_MAX_DEPTH) == oracle_sweep(lo, hi, max_steps)
 
 
 def test_settle_finds_the_terminal_cycle():
