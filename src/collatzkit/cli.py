@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterable
 
 from . import __version__
 from .core import DEFAULT_MAX_STEPS, _require_positive_int, chain_product, trajectory
@@ -33,6 +34,12 @@ from .verify import (
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+
+
+def _write_lines(lines: Iterable[str]) -> None:
+    # formatted in full before the first byte goes out, so that a value too
+    # long to print leaves stdout empty rather than cut short
+    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
@@ -76,11 +83,12 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         print(json.dumps(table.to_dict()))
     else:
         xs = [r.x for r in table.rows[0][1]]
-        print("n2\\x  " + "  ".join(str(x) for x in xs))
+        lines = ["n2\\x  " + "  ".join(str(x) for x in xs)]
         for n2, recs in table.rows:
             cells = [f"{r.n1}{'' if r.generates else '*'}" for r in recs]
-            print(f"{n2}:  " + "  ".join(cells))
-        print("(* marks numbers that generate nothing further: n1 divisible by 3)")
+            lines.append(f"{n2}:  " + "  ".join(cells))
+        lines.append("(* marks numbers that generate nothing further: n1 divisible by 3)")
+        _write_lines(lines)
     return 0
 
 
@@ -90,12 +98,11 @@ def _cmd_totals(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports]))
     else:
-        for r in reports:
-            mark = "ok" if r.identity_holds else "MISMATCH"
-            print(
-                f"kN={r.k_n} N={r.n} To={r.t_odd} Te={r.t_even} T={r.t_total} "
-                f"brute={r.brute_count} [{mark}]"
-            )
+        _write_lines(
+            f"kN={r.k_n} N={r.n} To={r.t_odd} Te={r.t_even} T={r.t_total} "
+            f"brute={r.brute_count} [{'ok' if r.identity_holds else 'MISMATCH'}]"
+            for r in reports
+        )
     return 0 if all(r.identity_holds for r in reports) else CHECK_FAILED
 
 
@@ -104,13 +111,14 @@ def _cmd_range_iter(args: argparse.Namespace) -> int:
     if args.format == "json":
         sys.stdout.write(trace.to_jsonl())
     else:
-        for s in trace.states:
-            print(
-                f"N={s.n} pN={s.p_n} No={s.n_odd} Ne={s.n_even} "
-                f"-> {s.chosen} (growth {s.growth:+d})"
-            )
+        lines = [
+            f"N={s.n} pN={s.p_n} No={s.n_odd} Ne={s.n_even} "
+            f"-> {s.chosen} (growth {s.growth:+d})"
+            for s in trace.states
+        ]
         if trace.stalled:
-            print(f"stalled at index {trace.stall_index}")
+            lines.append(f"stalled at index {trace.stall_index}")
+        _write_lines(lines)
     unexpected_stall = trace.stalled and trace.states[trace.stall_index].p_n > 3
     return CHECK_FAILED if unexpected_stall else 0
 

@@ -13,6 +13,17 @@ them and v = T^j(r), after j + c single steps. Once 3^c < 2^j, every
 start of the class with a large enough descends at exactly that step
 count and is never walked. A start whose class still climbs at depth k
 jumps straight to T^k(n) and is walked on from there.
+
+The walk itself moves K = WINDOW_BITS steps of T at a time where it can
+(Oliveira e Silva 2010). The same expansion gives, for each residue
+b = w mod 2^K, T^K(2^K*a + b) = 3^c*a + d after K + c single steps, and
+the least ratio 3^(c_i)/2^i over its first i <= K steps, where c_i counts
+the odd values among the first i. Since T(m) >= m/2, with (3m+1)/2 > 3m/2
+for odd m, every T^i(w) is at least 3^(c_i)*w/2^i. So when w times that
+least ratio exceeds n, every value in the window, and each 3m+1 between,
+is above n: the window cannot hold the drop below n or a return to n, and
+it is taken only when the step budget covers all of it. Otherwise the walk
+takes one odd step and its halving run, and finds those exactly.
 """
 
 from __future__ import annotations
@@ -33,14 +44,24 @@ from .ranges import odd_range_candidate
 # Deeper tables sieve more starts but cost more per block to scan; 2^16
 # leaves 2114 of its 32768 odd classes to walk, in tables of about 0.1 MB.
 SIEVE_MAX_DEPTH = 16
-# Starting a shard pool costs 12-25 ms; on 2 cores a pooled sweep first
-# beats an in-process one at a bound of about 400,000 (measured), so below
-# this bound a sweep runs in-process whatever the shard count. The
-# cross-check pools from the same N, which is k_max 11 (N_10 = 349,525,
-# N_11 = 1,398,101): on 2 cores (medians of 5) pooling took 0.024 s against
-# 0.011 s in-process at k_max 9, 0.033 s against 0.044 s at 10, 0.086 s
-# against 0.136 s at 11 and 0.28 s against 0.51 s at 12.
+# Starting a shard pool costs 12-25 ms, so below this bound a sweep runs
+# in-process whatever the shard count. With the windowed walk, on 2 cores
+# (Python 3.11.7; three interleaved sets, medians of 9, 15 and 21 runs), a
+# pooled sweep took 1.03x and 1.15x the in-process time at 400,000 (about
+# 22 ms in-process), 0.87x, 1.13x and 0.91x at 500,000, 1.00x, 1.02x and
+# 0.90x at 700,000, and 0.76x and 0.88x at 1,000,000. So it first wins
+# somewhere between 500,000 and 850,000; the kernel before the window already
+# won at 400,000 (0.90x). The cross-check pools from the same N, which is
+# k_max 11 (N_10 = 349,525, N_11 = 1,398,101): on 2 cores (medians of 5)
+# pooling took 0.024 s against 0.011 s in-process at k_max 9, 0.033 s
+# against 0.044 s at 10, 0.086 s against 0.136 s at 11 and 0.28 s against
+# 0.51 s at 12.
 POOL_MIN_BOUND = 500_000
+# The walk's window, in steps of T. For the 322,569 starts walked below 1e7
+# at depth 16, _settle took 0.58, 0.55, 0.51, 0.52 and 0.56 s with a window
+# of 4, 5, 6, 7 and 8 bits, against 0.78 s without one (2 cores, Python
+# 3.11.7; one interleaved set, medians of 5).
+WINDOW_BITS = 6
 # _settle's result for a chain that comes back to its start
 _RETURNED = -1
 
@@ -55,7 +76,14 @@ def _settle(n: int, w: int, used: int, max_steps: int) -> int | None:
     than max_steps steps would be needed to settle either way.
     """
     nbl = n.bit_length()
+    window, k, mask = _WINDOW, WINDOW_BITS, (1 << WINDOW_BITS) - 1
     while True:
+        # a whole window of k steps of T, when every value in it is above n
+        num, shift, c3, d, steps = window[w & mask]
+        if w * num > n << shift and used + steps <= max_steps:
+            w = c3 * (w >> k) + d
+            used += steps
+            continue
         t = (w & -w).bit_length() - 1
         s = w >> t
         if s <= n:
@@ -95,25 +123,57 @@ def _sieve(depth: int) -> tuple[tuple[array, ...], tuple[array, ...]]:
     # j = 1: n = 2a + 1 gives T(n) = 3a + 2
     stack = [(1, 1, 3, 2, 2)]
     while stack:
-        j, r, c3, v, steps = stack.pop()
-        if j == depth:
-            _append(survivors, r, c3, v, steps)
+        node = stack.pop()
+        if node[0] == depth:
+            _append(survivors, *node[1:])
             continue
-        half, mod = 1 << j, 2 << j
-        # n = 2^(j+1)*b + r2 gives T^j(n) = 2*c3*b + u
-        for r2, u in ((r, v), (r + half, v + c3)):
-            if u & 1:
-                c3_, v_, steps_ = 3 * c3, (3 * u + 1) >> 1, steps + 2
+        for child in _children(*node):
+            j, r, c3, v, steps = child
+            mod = 1 << j
+            if c3 < mod:
+                # T^j(n) = c3*b + v < n for every b >= 0 once v < r
+                if v >= r and (mod, r) != (4, 1):
+                    raise AssertionError(f"class {r} mod {mod} does not descend from its residue")
+                _append(exits, mod, r, steps)
             else:
-                c3_, v_, steps_ = c3, u >> 1, steps + 1
-            if c3_ < mod:
-                # T^(j+1)(n) = c3_*b + v_ < n for every b >= 0 once v_ < r2
-                if v_ >= r2 and (mod, r2) != (4, 1):
-                    raise AssertionError(f"class {r2} mod {mod} does not descend from its residue")
-                _append(exits, mod, r2, steps_)
-            else:
-                stack.append((j + 1, r2, c3_, v_, steps_))
+                stack.append(child)
     return exits, survivors
+
+
+def _children(j: int, r: int, c3: int, v: int, steps: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """The two classes mod 2^(j+1) inside the class n = 2^j*a + r, where
+    T^j(n) = c3*a + v after `steps` single steps, each as (j + 1, r2, c3_,
+    v_, steps_) with T^(j+1)(n) = c3_*b + v_ for n = 2^(j+1)*b + r2."""
+    # n = 2^(j+1)*b + r2 gives T^j(n) = 2*c3*b + u
+    for r2, u in ((r, v), (r + (1 << j), v + c3)):
+        if u & 1:
+            yield j + 1, r2, 3 * c3, (3 * u + 1) >> 1, steps + 2
+        else:
+            yield j + 1, r2, c3, u >> 1, steps + 1
+
+
+def _window_table(k: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """For each residue b mod 2^k, the row (p, s, 3^c, d, steps) with
+    T^k(2^k*a + b) = 3^c*a + d after `steps` = k + c single steps, and
+    p/2^s = 3^(c_i)/2^i the least over i <= k, where c_i counts the odd
+    values among the first i steps: every T^i(w) is at least w*p/2^s."""
+    rows = [None] * (1 << k)
+    # j = 0: T^0(a) = a, and the least ratio so far is 3^0/2^0
+    stack = [((0, 0, 1, 0, 0), 1, 0)]
+    while stack:
+        node, p, s = stack.pop()
+        j, r, c3, v, steps = node
+        if c3 << s < p << j:
+            p, s = c3, j
+        if j == k:
+            rows[r] = (p, s, c3, v, steps)
+        else:
+            stack.extend((child, p, s) for child in _children(*node))
+    return tuple(rows)
+
+
+# built at import, so that forked workers inherit it with the module
+_WINDOW = _window_table(WINDOW_BITS)
 
 
 def _append(columns: tuple[array, ...], *row: int) -> None:

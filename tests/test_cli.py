@@ -237,6 +237,29 @@ def test_library_value_error_is_usage_error(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tables", "--class", "odd", "--rows", "2", "--cols", "1200"),
+        ("range-iter", "--start", "7", "--iters", "6000"),
+        ("totals", "--kmax", "1100"),
+    ],
+)
+def test_text_too_long_to_print_leaves_stdout_empty(capsys, argv):
+    # each run holds a value past 640 digits, the limit on printing an int
+    # set here; text goes out whole or not at all, as JSON does
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(list(argv))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_memory_error_is_usage_error(capsys, monkeypatch):
     # a bound too large to hold a byte per odd number in memory
     def out_of_memory(bound):

@@ -19,7 +19,9 @@ from collatzkit.verify import (
     _RETURNED,
     POOL_MIN_BOUND,
     SIEVE_MAX_DEPTH,
+    WINDOW_BITS,
     _block_bounds,
+    _jumps,
     _settle,
     _sieve,
     _sweep_block,
@@ -124,6 +126,26 @@ def test_settle_finds_the_terminal_cycle():
     assert _settle(1, 4, 1, 3) == _RETURNED
     assert _settle(1, 4, 1, 2) is None
     assert _settle(3, 10, 1, 100) == 6
+
+
+def test_settle_meets_the_budget_exactly_inside_a_window():
+    # every start walked below 200,001 at depth 16, one step short of its
+    # drop, at it and one past it
+    walked = list(_jumps(3, 200_001, SIEVE_MAX_DEPTH, _sieve(SIEVE_MAX_DEPTH)[1]))
+    assert len(walked) > 6000
+    for n, w, used in walked:
+        need = naive_descent_steps(n, 10**4)
+        for max_steps in (need - 1, need, need + 1):
+            assert _settle(n, w, used, max_steps) == naive_descent_steps(n, max_steps), (n, max_steps)
+
+
+def test_settle_finds_a_halving_run_that_ends_at_or_below_n():
+    # w = m*2^shift halves down to m at exactly `shift` steps, across
+    # window edges: back at n is a return, just below it a drop
+    for shift in range(1, 3 * WINDOW_BITS):
+        assert _settle(21, 21 << shift, 0, 100) == _RETURNED, shift
+        assert _settle(21, 19 << shift, 0, 100) == shift, shift
+        assert _settle(21, 19 << shift, 0, shift - 1) is None, shift
 
 
 def test_verify_forward_19():
