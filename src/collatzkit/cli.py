@@ -5,9 +5,9 @@ JSON/CSV and exits 0 only when the run's internal checks pass: identity
 mismatches, unexpected cycles, cycle-scan starts left undecided, a `seq`
 chain that runs out of its step budget before reaching 1, sweep failures
 and coverage gaps all exit 1. Usage problems, including values the
-library rejects, cannot index or cannot hold in memory, exit 2 with a
-one-line error. Output for a given configuration is stable byte-for-byte
-except for wall-time fields.
+library rejects, cannot index or cannot hold in memory, and a stdout
+that is closed or full exit 2 with a one-line error. Output for a given
+configuration is stable byte-for-byte except for wall-time fields.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from collections.abc import Iterable
 
@@ -316,11 +317,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, TypeError, OverflowError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except (ValueError, TypeError, OverflowError, OSError) as exc:
         # the library rejects a value the parser let through, or one too
-        # large for the machine to index
+        # large for the machine to index, or stdout is closed or full
         print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # what stdout still holds goes to devnull, not to a traceback at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return USAGE_ERROR
     except MemoryError:  # its message is empty, so name the cause here
         print("error: out of memory: a value is too large for this machine", file=sys.stderr)

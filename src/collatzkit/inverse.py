@@ -28,11 +28,6 @@ from typing import Iterable, Iterator
 from .core import _pool, _require_odd, _require_positive_int
 
 SELF_ITERATION = (1, 2)
-# From this value cap up, the tree walk's rounds run across processes (see
-# inverse_bfs). On 2 cores (medians of 7, bound 1e4, x_max 60) a pooled
-# walk took 0.092 s against 0.098 s in-process at cap 1e6, 0.171 s against
-# 0.216 s at 2e6 and 0.211 s against 0.289 s at 3e6.
-POOL_MIN_CAP = 2_000_000
 # A round deals the open stack into WALK_PARTS parts per worker, each
 # walking at most WALK_BUDGET nodes. At cap 9,038,141 (2,683,277 nodes)
 # that is 17 pooled rounds: about 0.62 s against 1.0 s in-process on 2
@@ -362,8 +357,8 @@ def inverse_bfs(bound: int, value_cap: int, x_max: int) -> CoverageReport:
     which the tree is visited changes none of the report. It runs in
     rounds: each deals the open stack into WALK_PARTS interleaved parts per
     worker, each part walks at most WALK_BUDGET nodes, and what the parts
-    leave open is the next round's stack. From a value cap of POOL_MIN_CAP
-    up the rounds run on one worker per CPU, below it in one process.
+    leave open is the next round's stack. The rounds run on _pool, sized
+    by the value cap, and each round's hits are marked as it returns.
     """
     _require_positive_int(bound, "bound")
     _require_positive_int(value_cap, "value_cap", minimum=bound)
@@ -375,19 +370,19 @@ def inverse_bfs(bound: int, value_cap: int, x_max: int) -> CoverageReport:
     # the parts of a round share no node.
     reached = bytearray((bound + 1) // 2)  # odd v <= bound at index v >> 1
     walk = functools.partial(_walk, bound=bound, value_cap=value_cap, x_max=x_max, budget=WALK_BUDGET)
+    expanded = 0
     # the root's row first, so that the first round has parts to deal
-    expanded, hits, stack = _walk([1], bound, value_cap, x_max, 1)
-    with _pool(None if value_cap >= POOL_MIN_CAP else 1) as (workers, run):
+    results = [_walk([1], bound, value_cap, x_max, 1)]
+    with _pool(None, value_cap) as (workers, run):
         parts = WALK_PARTS * workers
-        while stack:
-            results = run(walk, [stack[s::parts] for s in range(min(parts, len(stack)))])
+        while results:
             stack = []
-            for n, h, left in results:
+            for n, hits, left in results:
                 expanded += n
-                hits += h
+                for v in hits:
+                    reached[v >> 1] = 1
                 stack += left
-    for v in hits:
-        reached[v >> 1] = 1
+            results = run(walk, [stack[s::parts] for s in range(min(parts, len(stack)))]) if stack else []
     return CoverageReport(
         bound=bound,
         value_cap=value_cap,

@@ -44,19 +44,6 @@ from .ranges import odd_range_candidate
 # Deeper tables sieve more starts but cost more per block to scan; 2^16
 # leaves 2114 of its 32768 odd classes to walk, in tables of about 0.1 MB.
 SIEVE_MAX_DEPTH = 16
-# Starting a shard pool costs 12-25 ms, so below this bound a sweep runs
-# in-process whatever the shard count. With the windowed walk, on 2 cores
-# (Python 3.11.7; three interleaved sets, medians of 9, 15 and 21 runs), a
-# pooled sweep took 1.03x and 1.15x the in-process time at 400,000 (about
-# 22 ms in-process), 0.87x, 1.13x and 0.91x at 500,000, 1.00x, 1.02x and
-# 0.90x at 700,000, and 0.76x and 0.88x at 1,000,000. So it first wins
-# somewhere between 500,000 and 850,000; the kernel before the window already
-# won at 400,000 (0.90x). The cross-check pools from the same N, which is
-# k_max 11 (N_10 = 349,525, N_11 = 1,398,101): on 2 cores (medians of 5)
-# pooling took 0.024 s against 0.011 s in-process at k_max 9, 0.033 s
-# against 0.044 s at 10, 0.086 s against 0.136 s at 11 and 0.28 s against
-# 0.51 s at 12.
-POOL_MIN_BOUND = 500_000
 # The walk's window, in steps of T. For the 322,569 starts walked below 1e7
 # at depth 16, _settle took 0.58, 0.55, 0.51, 0.52 and 0.56 s with a window
 # of 4, 5, 6, 7 and 8 bits, against 0.78 s without one (2 cores, Python
@@ -270,21 +257,22 @@ def _block_bounds(bound: int, shards: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
 
-def _sweep(bound: int, max_steps: int, shards: int) -> tuple[int, list[tuple[int, str]], int]:
+def _sweep(bound: int, max_steps: int, shards: int | None) -> tuple[int, list[tuple[int, str]], int]:
     """Settle every odd start <= bound: (descended, failures in ascending
     order, largest descent count).
 
-    Work is split into one contiguous block per worker (at most `shards`)
-    and merged back in block order, so the result is the same for any shard
-    count. Below POOL_MIN_BOUND the sweep runs in-process as one block.
+    Work is split into one contiguous block per worker of _pool (at most
+    `shards`, None for one per CPU) and merged back in block order, so the
+    result is the same for any shard count.
     """
     _require_positive_int(bound, "bound")
     _require_positive_int(max_steps, "max_steps")
-    _require_positive_int(shards, "shards")
+    if shards is not None:
+        _require_positive_int(shards, "shards")
     depth = _sieve_depth(bound)
     _sieve(depth)  # built here, so that forked workers inherit the table
     block = functools.partial(_sweep_block, max_steps=max_steps, depth=depth)
-    with _pool(shards if bound >= POOL_MIN_BOUND else 1) as (workers, run):
+    with _pool(shards, bound) as (workers, run):
         results = run(block, *zip(*_block_bounds(bound, workers)))
     failures = [f for r in results for f in r[1]]
     return sum(r[0] for r in results), failures, max(r[2] for r in results)
@@ -364,7 +352,7 @@ def cycle_scan(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> CycleScanRepor
     all. Start 1, where every chain ends, settles at 0 steps by convention;
     it is the minimum of the terminal cycle 1 -> 4 -> 2.
     """
-    _, failures, _ = _sweep(bound, max_steps, os.cpu_count() or 1)
+    _, failures, _ = _sweep(bound, max_steps, None)
     minima = [1] + [n for n, reason in failures if reason == "cycle"]
     return CycleScanReport(
         bound=bound,
@@ -482,12 +470,12 @@ class CrossCheckEntry:
 
 def cross_check_totals(k_max: int) -> tuple[CrossCheckEntry, ...]:
     """For k = 2..k_max, compare the closed-form totals with the brute odd
-    count and with a direct per-class enumeration of the records, from
-    N_kmax >= POOL_MIN_BOUND up in one interleaved part of rows per CPU."""
+    count and with a direct per-class enumeration of the records, in one
+    interleaved part of rows per worker of _pool (one per CPU from k_max 11)."""
     _require_positive_int(k_max, "k_max", minimum=2)
     reports = [totals(k) for k in range(2, k_max + 1)]
     ns = [rep.n for rep in reports]
-    with _pool(None if ns[-1] >= POOL_MIN_BOUND else 1) as (parts, run):
+    with _pool(None, ns[-1]) as (parts, run):
         counts = run(_count_records_by_class, [ns] * parts, range(parts), [parts] * parts)
     entries = []
     for rep, by_part in zip(reports, zip(*counts)):

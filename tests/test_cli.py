@@ -274,6 +274,34 @@ def test_memory_error_is_usage_error(capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+def test_os_error_is_usage_error(capsys, monkeypatch):
+    # raised before any output: stdout, here a capture without a file
+    # descriptor, still flushes, so it is left as it is
+    def disk_full(start, max_steps):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "trajectory", disk_full)
+    code = main(["seq", "--start", "27"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+
+
+def test_closed_stdout_is_usage_error():
+    # the reader is gone before the child writes its first byte
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "collatzkit", "seq", "--start", "27"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
 def test_uniqueness_exits_one_when_a_record_column_is_missed(capsys, monkeypatch):
     # no collision shows, but the scan no longer sees one record per odd n1
     columns = inverse._columns

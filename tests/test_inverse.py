@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from collatzkit import (
     SubsetTag,
     classify,
+    core,
     generate_table,
     inverse,
     inverse_bfs,
@@ -399,7 +400,7 @@ def test_pooled_inverse_bfs_matches_literal_bfs(monkeypatch, cpus, bound, value_
     # nodes per part; budget 1 only where the rounds stay few enough to run
     reached, unreached, expanded = cached_literal_bfs(bound, value_cap, x_max)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(inverse, "POOL_MIN_CAP", 1)
+    monkeypatch.setattr(core, "POOL_MIN_BOUND", 1)
     for budget in (1, 1000, inverse.WALK_BUDGET):
         if expanded > 5000 * budget:
             continue

@@ -9,16 +9,15 @@ import os
 
 import pytest
 
-from collatzkit import core, cross_check_totals, inverse, inverse_bfs, verify, verify_forward
+from collatzkit import core, cross_check_totals, cycle_scan, inverse, inverse_bfs, verify, verify_forward
 from collatzkit.cli import main
 
 
 def _pool_everything(monkeypatch, cpus, budget=inverse.WALK_BUDGET):
     # with cpus > 1, every call in this file runs on the pool
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(inverse, "POOL_MIN_CAP", 1)
+    monkeypatch.setattr(core, "POOL_MIN_BOUND", 1)
     monkeypatch.setattr(inverse, "WALK_BUDGET", budget)
-    monkeypatch.setattr(verify, "POOL_MIN_BOUND", 1)
 
 
 def _stdout(argv):
@@ -47,7 +46,7 @@ CLI_CALLS = [
 )
 def test_pool_width_is_at_most_one_worker_per_cpu(monkeypatch, cpus, most, width):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    with core._pool(most) as (workers, run):
+    with core._pool(most, core.POOL_MIN_BOUND) as (workers, run):
         assert workers == width
         assert run(pow, [2, 3, 5], [3, 2, 1]) == [8, 9, 5]
     assert multiprocessing.active_children() == []
@@ -71,18 +70,34 @@ def test_without_fork_every_call_runs_in_process(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_cross_check_pools_from_kmax_11(monkeypatch):
-    # N_10 = 349,525 < POOL_MIN_BOUND <= N_11 = 1,398,101
-    asked = []
-    real_pool = verify._pool
+# each pooled caller with the two sizes that straddle core.POOL_MIN_BOUND: the
+# sweep's bound, the cross-check's k_max (N_10 = 349,525 < POOL_MIN_BOUND <=
+# N_11 = 1,398,101) and the tree walk's value cap
+BELOW_AND_AT = [core.POOL_MIN_BOUND - 1, core.POOL_MIN_BOUND]
+CALLERS = {
+    "verify_forward": (verify, BELOW_AND_AT, lambda bound: verify_forward(bound).ok),
+    "cross_check_totals": (verify, [10, 11], lambda k_max: all(e.counts_match for e in cross_check_totals(k_max))),
+    "cycle_scan": (verify, BELOW_AND_AT, lambda bound: cycle_scan(bound).ok),
+    "inverse_bfs": (inverse, BELOW_AND_AT, lambda cap: inverse_bfs(1, cap, 4).reached == {1}),
+}
 
-    def recording_pool(most=None):
-        asked.append(most)
-        return real_pool(most)
 
-    monkeypatch.setattr(verify, "_pool", recording_pool)
-    assert all(e.counts_match for e in cross_check_totals(10) + cross_check_totals(11))
-    assert asked == [1, None]
+@pytest.mark.parametrize("caller", sorted(CALLERS))
+def test_every_caller_pools_from_the_one_threshold(monkeypatch, caller):
+    module, sizes, call = CALLERS[caller]
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    widths = []
+    real_pool = core._pool
+
+    @contextlib.contextmanager
+    def recording_pool(most, size):
+        with real_pool(most, size) as (workers, run):
+            widths.append(workers)
+            yield workers, run
+
+    monkeypatch.setattr(module, "_pool", recording_pool)
+    assert all(call(size) for size in sizes)
+    assert widths == [1, 3]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])

@@ -15,9 +15,9 @@ from collatzkit import (
     inverse_bfs,
     verify_forward,
 )
+from collatzkit.core import POOL_MIN_BOUND
 from collatzkit.verify import (
     _RETURNED,
-    POOL_MIN_BOUND,
     SIEVE_MAX_DEPTH,
     WINDOW_BITS,
     _block_bounds,
