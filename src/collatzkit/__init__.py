@@ -4,11 +4,8 @@ force at desk scale."""
 
 from .core import (
     DEFAULT_MAX_STEPS,
-    Parity,
-    Step,
     Trajectory,
     chain_product,
-    closed_chain,
     odd_successor,
     step,
     trajectory,
@@ -16,7 +13,6 @@ from .core import (
 )
 from .counting import (
     FloorRemainder,
-    PowerParams,
     TotalsReport,
     geom_sum,
     geom_weighted_sum,
@@ -26,7 +22,6 @@ from .counting import (
     kj_odd,
     power_relation_integer,
     totals,
-    totals_by_summation,
 )
 from .inverse import (
     CoverageReport,
@@ -48,9 +43,7 @@ from .ranges import (
     IterationTrace,
     OddBranch,
     RangeState,
-    even_range_candidate,
     iterate_ranges,
-    odd_range_candidate,
     range_step,
 )
 from .verify import (

@@ -9,7 +9,6 @@ exact rationals; no floating point enters the forward dynamics.
 from __future__ import annotations
 
 import contextlib
-import enum
 import multiprocessing
 import os
 from collections.abc import Callable, Iterator
@@ -17,11 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 DEFAULT_MAX_STEPS = 100_000
-
-
-class Parity(enum.Enum):
-    EVEN = "even"
-    ODD = "odd"
 
 
 def _require_positive_int(n: int, name: str = "n", minimum: int = 1) -> None:
@@ -111,26 +105,6 @@ def _require_chain(values: tuple[int, ...]) -> None:
 
 
 @dataclass(frozen=True)
-class Step:
-    """A single application of the step rule, taking `before` to `after`."""
-
-    before: int
-    after: int
-
-    def __post_init__(self) -> None:
-        _require_chain((self.before, self.after))
-
-    @property
-    def parity(self) -> Parity:
-        return Parity.EVEN if self.before % 2 == 0 else Parity.ODD
-
-    @property
-    def factor(self) -> Fraction:
-        """Exact ratio after/before: 1/2 for even steps, (3n+1)/n for odd."""
-        return Fraction(self.after, self.before)
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """A forward chain: its values, each the rule's image of the one before.
 
@@ -156,10 +130,6 @@ class Trajectory:
     @property
     def terminated(self) -> bool:
         return self.values[-1] == 1
-
-    @property
-    def steps(self) -> tuple[Step, ...]:
-        return tuple(Step(a, b) for a, b in zip(self.values, self.values[1:]))
 
     @property
     def even_steps(self) -> int:
@@ -212,9 +182,3 @@ def chain_product(t: Trajectory) -> Fraction:
             num *= 3 * v + 1
             den *= v
     return Fraction(num, den << halvings)
-
-
-def closed_chain(members: tuple[int, ...] | list[int]) -> Trajectory:
-    """Build the one-loop trajectory around a cycle, first member repeated."""
-    loop = tuple(members)
-    return Trajectory(loop + loop[:1])

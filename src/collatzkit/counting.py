@@ -44,41 +44,6 @@ def _floor_log2_ratio(num: int, den: int) -> int:
 
 
 @dataclass(frozen=True)
-class PowerParams:
-    """Bound parameters: N = 2*p_n - 1 always, and N = (4^k_n - 1)/3 when
-    the bound belongs to the special power family."""
-
-    p_n: int
-    k_n: int | None = None
-
-    def __post_init__(self) -> None:
-        _require_positive_int(self.p_n, "p_n", minimum=2)
-        if self.k_n is not None:
-            _require_positive_int(self.k_n, "k_n", minimum=2)
-            if 2 * self.p_n - 1 != (4**self.k_n - 1) // 3:
-                raise ValueError(f"k_n={self.k_n} does not match p_n={self.p_n}")
-
-    @property
-    def n(self) -> int:
-        return 2 * self.p_n - 1
-
-    @classmethod
-    def from_k(cls, k_n: int) -> "PowerParams":
-        _require_positive_int(k_n, "k_n", minimum=2)
-        n = (4**k_n - 1) // 3
-        return cls(p_n=(n + 1) // 2, k_n=k_n)
-
-    @classmethod
-    def from_bound(cls, n: int) -> "PowerParams":
-        _require_odd(n, minimum=3)
-        m = 3 * n + 1
-        k = None
-        if m & (m - 1) == 0 and m.bit_length() % 2 == 1:  # m = 4^k
-            k = (m.bit_length() - 1) // 2
-        return cls(p_n=(n + 1) // 2, k_n=k)
-
-
-@dataclass(frozen=True)
 class FloorRemainder:
     """A floored expression together with its fractional part.
 
@@ -189,34 +154,6 @@ def totals(k_n: int) -> TotalsReport:
         brute_count=brute,
         identity_holds=t_total == brute,
     )
-
-
-def totals_by_summation(k_n: int) -> tuple[int, int]:
-    """The same totals by the explicit finite sums, term by term.
-
-    Kept deliberately literal (including the terms that cancel to zero) so
-    a transcription slip in either route shows up as a mismatch with the
-    closed forms.
-    """
-    _require_positive_int(k_n, "k_n", minimum=2)
-    half = Fraction(1, 2)
-    sixth = Fraction(1, 6)
-
-    t_odd = k_n * (sixth * (2 + 1) - half)
-    for i in range(1, k_n):
-        upper = sixth * (2 ** (2 * (i + 1) - 1) + 1) - half
-        lower = sixth * (2 ** (2 * i - 1) + 1) - half
-        t_odd += (k_n - i) * (upper - lower)
-
-    t_even = (k_n - 1) * (sixth * (2**2 - 1) - half)
-    for i in range(2, k_n):
-        upper = sixth * (2 ** (2 * i) - 1) - half
-        lower = sixth * (2 ** (2 * (i - 1)) - 1) - half
-        t_even += (k_n - i) * (upper - lower)
-
-    if t_odd.denominator != 1 or t_even.denominator != 1:
-        raise ArithmeticError("summed totals did not come out integral")
-    return int(t_odd), int(t_even)
 
 
 def _floor_remainder_half_log(num: int, den: int, plus_half: bool) -> FloorRemainder:

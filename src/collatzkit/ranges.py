@@ -63,16 +63,6 @@ def _even_branch(p: int) -> EvenBranch:
     return EvenBranch.P_MOD3_1
 
 
-def odd_range_candidate(n: int) -> int:
-    """Candidate bound from the odd-power rows: 3p-1 or 3p-4 by parity of p."""
-    return range_step(n).n_odd
-
-
-def even_range_candidate(n: int) -> int:
-    """Candidate bound from the even-power rows: (4N - C)/3, C by p mod 3."""
-    return range_step(n).n_even
-
-
 @dataclass(frozen=True)
 class RangeState:
     """One recurrence step: both candidates, branch labels, the choice."""

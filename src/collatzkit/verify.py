@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from .core import DEFAULT_MAX_STEPS, _pool, _require_chain, _require_odd, _require_positive_int, step
 from .counting import totals, TotalsReport
 from .inverse import _count_records_by_class
-from .ranges import odd_range_candidate
+from .ranges import range_step
 
 # Deeper tables sieve more starts but cost more per block to scan; 2^16
 # leaves 2114 of its 32768 odd classes to walk, in tables of about 0.1 MB.
@@ -412,8 +412,8 @@ def reproduce_assumption_table(n0: int) -> tuple[AssumptionRow, ...]:
 def assumption_bold_values(n0: int) -> set[int]:
     """Values highlighted in a demonstration table for [1, n0]: the odd
     numbers of the range itself plus the 6i-1 numbers of the grown range
-    [1, odd_range_candidate(n0)]."""
-    cap = odd_range_candidate(n0)
+    [1, range_step(n0).n_odd]."""
+    cap = range_step(n0).n_odd
     bold = {m for m in range(1, n0 + 1, 2)}
     bold |= {m for m in range(5, cap + 1, 6)}
     return bold

@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 
 from collatzkit import (
     CycleRecord,
-    Parity,
-    Step,
     Trajectory,
     chain_product,
-    closed_chain,
     odd_successor,
     step,
     trajectory,
@@ -86,7 +83,7 @@ def test_trajectory_of_nine_matches_table_row():
 
 def test_trajectory_of_one_is_empty():
     t = trajectory(1, 100)
-    assert t.steps == ()
+    assert len(t.values) - 1 == 0
     assert t.terminated
     assert t.values == (1,)
     assert t.even_steps == t.odd_steps == 0
@@ -96,25 +93,21 @@ def test_trajectory_27_terminates_in_111_steps():
     assert naive_step_count_to_one(27) == 111  # oracle agrees with the frozen value
     t = trajectory(27, 200)
     assert t.terminated
-    assert len(t.steps) == 111
+    assert len(t.values) - 1 == 111
     assert t.peak == 9232
 
 
 def test_trajectory_respects_max_steps():
     t = trajectory(27, 10)
     assert not t.terminated
-    assert len(t.steps) == 10
+    assert len(t.values) - 1 == 10
 
 
 def test_step_factors():
-    up = Step(3, 10)
-    down = Step(10, 5)
-    assert up.parity is Parity.ODD
-    assert up.factor == Fraction(10, 3)
-    assert down.parity is Parity.EVEN
-    assert down.factor == Fraction(1, 2)
+    assert chain_product(Trajectory((3, 10))) == Fraction(10, 3)
+    assert chain_product(Trajectory((10, 5))) == Fraction(1, 2)
     with pytest.raises(ValueError):
-        Step(3, 9)
+        Trajectory((3, 9))
 
 
 def test_chain_product_two_steps():
@@ -127,25 +120,25 @@ def test_hand_built_chains_must_follow_the_rule():
         (Trajectory, (3, 9)),
         (Trajectory, (0,)),
         (Trajectory, ()),
-        (closed_chain, (1, 2)),
+        (lambda loop: Trajectory(loop + loop[:1]), (1, 2)),
         (CycleRecord, (1, 2, 4)),
         (CycleRecord, ()),
     ):
         with pytest.raises(ValueError):
             build(values)
-    with pytest.raises(ValueError):
-        Step(0, 0)
     # a value equal to the rule's image but not an int is no step
     with pytest.raises(TypeError):
         Trajectory((2, 1.0))
     with pytest.raises(TypeError):
-        Step(2, True)
+        Trajectory((2, True))
     assert not Trajectory((3, 10, 5)).terminated
-    assert closed_chain((1, 4, 2)).terminated
+    loop = (1, 4, 2)
+    assert Trajectory(loop + loop[:1]).terminated
 
 
 def test_chain_product_of_terminal_cycle_is_one():
-    loop = closed_chain((1, 4, 2))
+    members = (1, 4, 2)
+    loop = Trajectory(members + members[:1])
     assert loop.values == (1, 4, 2, 1)
     assert loop.even_steps == 2
     assert loop.odd_steps == 1
@@ -185,23 +178,24 @@ def test_telescoping_property(n):
 @given(st.integers(min_value=1, max_value=10**9))
 def test_no_two_consecutive_odd_steps(n):
     t = trajectory(n, max_steps=500)
-    for a, b in zip(t.steps, t.steps[1:]):
-        assert not (a.parity is Parity.ODD and b.parity is Parity.ODD)
+    for a, b in zip(t.values, t.values[1:]):
+        assert not (a % 2 == 1 and b % 2 == 1)
 
 
 @settings(max_examples=200)
 @given(st.integers(min_value=1, max_value=10**9))
 def test_step_factor_values(n):
     t = trajectory(n, max_steps=500)
-    for s in t.steps:
-        if s.parity is Parity.EVEN:
-            assert s.factor == Fraction(1, 2)
+    for before, after in zip(t.values, t.values[1:]):
+        factor = chain_product(Trajectory((before, after)))
+        if before % 2 == 0:
+            assert factor == Fraction(1, 2)
         else:
-            assert s.factor == Fraction(3 * s.before + 1, s.before)
+            assert factor == Fraction(3 * before + 1, before)
 
 
 def test_trajectory_steps_chain():
     t = trajectory(97)
-    for a, b in zip(t.steps, t.steps[1:]):
-        assert a.after == b.before
-    assert t.even_steps + t.odd_steps == len(t.steps)
+    for a, b in zip(t.values, t.values[1:]):
+        assert b == step(a)
+    assert t.even_steps + t.odd_steps == len(t.values) - 1

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatzkit import (
-    PowerParams,
     geom_sum,
     geom_weighted_sum,
     i_epow_max,
@@ -18,9 +17,10 @@ from collatzkit import (
     power_relation_integer,
     predecessor_of,
     totals,
-    totals_by_summation,
 )
 from collatzkit.counting import i_epow_floor, i_opow_floor
+
+from summation import totals_by_summation
 
 
 def i_opow_max_casewise(p_n):
@@ -335,7 +335,7 @@ def test_half_remainder_claim_special_family():
     # for 6p-2 = 4^k the row-index expressions always miss an integer by
     # exactly one half (the even side hits 0 at the last depth)
     for k in range(2, 11):
-        p = PowerParams.from_k(k).p_n
+        p = ((4**k - 1) // 3 + 1) // 2  # N = 2p - 1 = (4^k - 1)/3
         for f in range(1, k + 1):
             assert i_opow_floor(p, f).remainder == Fraction(1, 2)
         for f in range(1, k):
@@ -353,19 +353,6 @@ def test_floor_remainders_are_exact_fractions():
             ):
                 assert isinstance(fr.remainder, Fraction)
                 assert fr.value + fr.remainder == rebuild
-
-
-def test_power_params():
-    pp = PowerParams.from_k(2)
-    assert (pp.p_n, pp.k_n, pp.n) == (3, 2, 5)
-    pp = PowerParams.from_bound(21)
-    assert (pp.p_n, pp.k_n) == (11, 3)
-    pp = PowerParams.from_bound(19)
-    assert (pp.p_n, pp.k_n) == (10, None)
-    with pytest.raises(ValueError):
-        PowerParams(p_n=1)
-    with pytest.raises(ValueError):
-        PowerParams(p_n=10, k_n=3)
 
 
 @settings(max_examples=200)

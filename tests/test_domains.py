@@ -9,12 +9,10 @@ True == 1 and 2.0 == 2). The floor itself is accepted.
 import pytest
 
 from collatzkit import (
-    PowerParams,
     SubsetTag,
     classify,
     cross_check_totals,
     cycle_scan,
-    even_range_candidate,
     generate_table,
     geom_sum,
     geom_weighted_sum,
@@ -24,7 +22,6 @@ from collatzkit import (
     iterate_ranges,
     kj_even,
     kj_odd,
-    odd_range_candidate,
     odd_successor,
     power_relation_integer,
     predecessor_of,
@@ -33,7 +30,6 @@ from collatzkit import (
     reproduce_assumption_table,
     step,
     totals,
-    totals_by_summation,
     trajectory,
     uniqueness_check,
     v2,
@@ -42,6 +38,8 @@ from collatzkit import (
 from collatzkit.counting import i_epow_floor, i_opow_floor
 from collatzkit.verify import assumption_bold_values
 
+from summation import totals_by_summation
+
 # name -> (call with the value under test, the least value it accepts)
 DOMAINS = {
     "step.n": (step, 1),
@@ -49,10 +47,6 @@ DOMAINS = {
     "odd_successor.n": (odd_successor, 1),
     "trajectory.n": (trajectory, 1),
     "trajectory.max_steps": (lambda v: trajectory(27, v), 1),
-    "PowerParams.p_n": (PowerParams, 2),
-    "PowerParams.k_n": (lambda v: PowerParams(p_n=3, k_n=v), 2),
-    "PowerParams.from_k": (PowerParams.from_k, 2),
-    "PowerParams.from_bound": (PowerParams.from_bound, 3),
     "power_relation_integer.n2_i": (lambda v: power_relation_integer(v, 1, 1), 1),
     "power_relation_integer.x_i": (lambda v: power_relation_integer(1, v, 1), 1),
     "power_relation_integer.n2_j": (lambda v: power_relation_integer(1, 1, v), 1),
@@ -65,7 +59,7 @@ DOMAINS = {
     "geom_weighted_sum.b": (lambda v: geom_weighted_sum(0, v), 0),
     "geom_weighted_sum.b_from_a": (lambda v: geom_weighted_sum(2, v), 2),
     "totals.k_n": (totals, 2),
-    "totals_by_summation.k_n": (totals_by_summation, 2),
+    "totals_by_summation.k_n": (totals_by_summation, 2),  # the tests' literal oracle
     "kj_odd.p_n": (lambda v: kj_odd(v, 1), 2),
     "kj_odd.i_opow": (lambda v: kj_odd(5, v), 1),
     "kj_even.p_n": (lambda v: kj_even(v, 1), 2),
@@ -75,8 +69,8 @@ DOMAINS = {
     "i_epow_floor.p_n": (lambda v: i_epow_floor(v, 1), 2),
     "i_epow_floor.f": (lambda v: i_epow_floor(5, v), 1),
     "range_step.n": (range_step, 3),
-    "odd_range_candidate.n": (odd_range_candidate, 3),
-    "even_range_candidate.n": (even_range_candidate, 3),
+    "odd_range_candidate.n": (lambda v: range_step(v).n_odd, 3),
+    "even_range_candidate.n": (lambda v: range_step(v).n_even, 3),
     "iterate_ranges.n0": (lambda v: iterate_ranges(v, 1), 3),
     "iterate_ranges.max_iters": (lambda v: iterate_ranges(3, v), 1),
     "verify_forward.bound": (lambda v: verify_forward(v, shards=1), 1),

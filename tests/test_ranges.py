@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 
 import collatzkit
 from collatzkit import (
-    even_range_candidate,
     iterate_ranges,
-    odd_range_candidate,
     predecessor_of,
     range_step,
 )
@@ -22,26 +20,24 @@ from collatzkit import (
 
 @pytest.mark.parametrize("n,expected", [(19, 29), (5, 5), (9, 11), (3, 5), (25, 35)])
 def test_odd_range_candidate(n, expected):
-    assert odd_range_candidate(n) == expected
+    assert range_step(n).n_odd == expected
 
 
 def test_odd_range_candidate_equals_floor_form():
     for n in range(3, 2001, 2):
         p = (n + 1) // 2
-        assert odd_range_candidate(n) == 6 * (p // 2) - 1
+        assert range_step(n).n_odd == 6 * (p // 2) - 1
 
 
 @pytest.mark.parametrize("n,expected", [(19, 25), (3, 3), (11, 13), (5, 5), (25, 33)])
 def test_even_range_candidate(n, expected):
-    assert even_range_candidate(n) == expected
+    assert range_step(n).n_even == expected
 
 
 def test_candidates_reject_small_or_even():
     for bad in (1, -3, 4):
         with pytest.raises(ValueError):
-            odd_range_candidate(bad)
-        with pytest.raises(ValueError):
-            even_range_candidate(bad)
+            range_step(bad)
 
 
 def test_range_step_worked_example():
@@ -123,7 +119,7 @@ def test_semantic_anchor_against_predecessors():
     # the odd-side candidate is the largest m = 5 (mod 6) whose x=1
     # predecessor lands inside [1, N]
     for n in range(3, 10**3 + 1, 2):
-        m = odd_range_candidate(n)
+        m = range_step(n).n_odd
         assert m % 6 == 5
         rec = predecessor_of(m, 1)
         assert rec is not None and rec.n1 <= n

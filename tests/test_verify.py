@@ -8,8 +8,8 @@ import pytest
 from collatzkit import (
     DEFAULT_MAX_STEPS,
     CycleScanReport,
+    Trajectory,
     chain_product,
-    closed_chain,
     cross_check_totals,
     cycle_scan,
     inverse_bfs,
@@ -256,7 +256,8 @@ def test_cycle_scan_bound_one():
 
 def test_cycle_product_is_one():
     (cycle,) = cycle_scan(100).cycles
-    assert chain_product(closed_chain(cycle.members)) == 1
+    loop = cycle.members
+    assert chain_product(Trajectory(loop + loop[:1])) == 1
 
 
 def test_assumption_table_19_rows_bit_exact():
