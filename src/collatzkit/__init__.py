@@ -39,9 +39,7 @@ from .inverse import (
     uniqueness_check,
 )
 from .ranges import (
-    EvenBranch,
     IterationTrace,
-    OddBranch,
     RangeState,
     iterate_ranges,
     range_step,

@@ -124,10 +124,6 @@ class Trajectory:
         return self.values[0]
 
     @property
-    def last(self) -> int:
-        return self.values[-1]
-
-    @property
     def terminated(self) -> bool:
         return self.values[-1] == 1
 

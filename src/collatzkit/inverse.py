@@ -81,10 +81,6 @@ class PredecessorRecord:
     def generates(self) -> bool:
         return self.n1 % 3 != 0
 
-    @property
-    def self_loop(self) -> bool:
-        return (self.n2, self.x) == SELF_ITERATION
-
     def to_dict(self) -> dict:
         c = classify(self.n1)
         return {

@@ -163,7 +163,7 @@ def test_telescoping_bulk():
         t = trajectory(n)
         assert t.terminated
         if len(t.values) > 1:
-            assert chain_product(t) == Fraction(t.last, t.start)
+            assert chain_product(t) == Fraction(t.values[-1], t.start)
 
 
 @settings(max_examples=200)
@@ -171,7 +171,7 @@ def test_telescoping_bulk():
 def test_telescoping_property(n):
     t = trajectory(n)
     if len(t.values) > 1:
-        assert chain_product(t) == Fraction(t.last, t.start)
+        assert chain_product(t) == Fraction(t.values[-1], t.start)
 
 
 @settings(max_examples=200)

@@ -78,7 +78,7 @@ def test_predecessor_of_self_pair():
     rec = predecessor_of(1, 2)
     assert rec is not None
     assert rec.n1 == 1
-    assert rec.self_loop
+    assert (rec.n2, rec.x) == (1, 2)
     assert rec.generates
 
 
@@ -139,7 +139,7 @@ def test_rows_match_a_literal_grid():
     }
     for n2, recs in grid.items():
         for x_max in range(1, 31):
-            assert predecessors(n2, x_max) == [r for r in recs if r.x <= x_max and not r.self_loop]
+            assert predecessors(n2, x_max) == [r for r in recs if r.x <= x_max and (r.n2, r.x) != (1, 2)]
     for tag, first in ((SubsetTag.EVEN_POWER, 1), (SubsetTag.ODD_POWER, 5)):
         row_values = list(range(first, 302, 6))
         for cols in range(1, 16):

@@ -1,21 +1,44 @@
 """Range recurrence: candidates, branch selection, growth, stalls."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import collatzkit
 from collatzkit import (
     iterate_ranges,
     predecessor_of,
     range_step,
 )
+
+
+def paper_case_table(n):
+    # the paper's case analysis of one step, written out literally
+    p = (n + 1) // 2
+    a = 1 if p % 2 == 0 else 4  # N_odd = 3p - A
+    b = {2: 7, 0: 9, 1: 5}[p % 3]  # N_even = (8p - B) / 3
+    assert (8 * p - b) % 3 == 0 and (p + b - 3 * a) % 3 == 0
+    n_odd, n_even = 3 * p - a, (8 * p - b) // 3
+    chosen = n_even if n_even <= n_odd else n_odd
+    return {
+        "n": n,
+        "p_n": p,
+        "n_odd": n_odd,
+        "odd_branch": "p-even" if p % 2 == 0 else "p-odd",
+        "n_even": n_even,
+        "even_branch": {2: "p=3s-1", 0: "p=3s", 1: "p=3s+1"}[p % 3],
+        "a_const": a,
+        "b_const": b,
+        "chosen": chosen,
+        "growth": chosen - n,
+        "delta_oe": (p + b - 3 * a) // 3,
+    }
+
+
+def test_range_step_matches_the_paper_case_table():
+    for n in range(3, 2 * 10**5 + 1, 2):
+        assert list(range_step(n).to_dict().items()) == list(paper_case_table(n).items()), f"N={n}"
 
 
 @pytest.mark.parametrize("n,expected", [(19, 29), (5, 5), (9, 11), (3, 5), (25, 35)])
@@ -44,29 +67,7 @@ def test_range_step_worked_example():
     s = range_step(19)
     assert (s.n_odd, s.n_even, s.chosen, s.growth) == (29, 25, 25, 6)
     assert s.p_n == 10
-    assert s.delta_oe == 4
-
-
-def test_range_step_checks_its_gap_under_optimize():
-    # `python -O` strips assert statements; the gap check must still raise
-    script = """
-import sys
-from collatzkit import ranges
-if not sys.flags.optimize:
-    sys.exit(3)
-ranges.EvenBranch.c_const = property(lambda self: self.b_const - 1)
-try:
-    ranges.range_step(19)
-except ArithmeticError as exc:
-    print(f"ArithmeticError: {exc}")
-"""
-    src = str(Path(collatzkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("ArithmeticError: candidate gap 4")
+    assert s.to_dict()["delta_oe"] == 4
 
 
 def test_range_step_stalls():
@@ -110,9 +111,7 @@ def test_candidates_exact_and_odd(p):
     n = 2 * p - 1
     s = range_step(n)
     assert s.n_odd % 2 == 1 and s.n_even % 2 == 1 and s.chosen % 2 == 1
-    assert 3 * s.n_even == 4 * n - s.even_branch.c_const
-    assert s.n_odd == 3 * p - s.odd_branch.a_const
-    assert s.delta_oe == s.n_odd - s.n_even
+    assert list(s.to_dict().items()) == list(paper_case_table(n).items())
 
 
 def test_semantic_anchor_against_predecessors():
@@ -131,8 +130,8 @@ def test_iterate_from_19():
     trace = iterate_ranges(19, 10)
     assert not trace.stalled
     assert len(trace.states) == 10
-    assert trace.bounds[:3] == (19, 25, 33)
-    bounds = trace.bounds
+    bounds = (trace.states[0].n,) + tuple(s.chosen for s in trace.states)
+    assert bounds[:3] == (19, 25, 33)
     assert all(b > a for a, b in zip(bounds, bounds[1:]))
     for prev, nxt in zip(trace.states, trace.states[1:]):
         assert nxt.n == prev.chosen
