@@ -47,7 +47,6 @@ from .ranges import (
 from .verify import (
     AssumptionRow,
     CrossCheckEntry,
-    CycleRecord,
     CycleScanReport,
     VerifyReport,
     cross_check_totals,

@@ -169,15 +169,14 @@ def _cmd_cycle_scan(args: argparse.Namespace) -> int:
         )
         print(undecided, file=sys.stderr)
     if args.format == "json":
-        print(json.dumps([c.to_dict() for c in cycles]))
+        print(json.dumps([{"members": list(c.values[:-1])} for c in cycles]))
     else:
         for c in cycles:
-            print(" -> ".join(str(m) for m in c.members) + f" -> {c.members[0]}")
+            print(" -> ".join(str(v) for v in c.values))
         print(f"{len(cycles)} cycle(s) found")
         if undecided:
             print(undecided)
-    expected = len(cycles) == 1 and cycles[0].members == (1, 4, 2)
-    return 0 if expected and report.ok else CHECK_FAILED
+    return 0 if report.ok else CHECK_FAILED
 
 
 def _cmd_assumption_table(args: argparse.Namespace) -> int:

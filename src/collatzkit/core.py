@@ -91,19 +91,6 @@ def odd_successor(n: int) -> tuple[int, int]:
     return w >> x, x
 
 
-def _require_chain(values: tuple[int, ...]) -> None:
-    """The one check of the step rule: values[0] is a positive int and
-    every later value is the plain int the rule maps the one before to."""
-    if not values:
-        raise ValueError("a chain has at least one value")
-    _require_positive_int(values[0], "start")
-    for a, b in zip(values, values[1:]):
-        if type(b) is not int:
-            raise TypeError(f"a chain holds ints, got {type(b).__name__}")
-        if b != (a // 2 if a % 2 == 0 else 3 * a + 1):
-            raise ValueError(f"not a valid step: {a} -> {b}")
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """A forward chain: its values, each the rule's image of the one before.
@@ -117,7 +104,16 @@ class Trajectory:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _require_chain(self.values)
+        # the one check of the step rule: a positive int, then each one's image
+        values = self.values
+        if not values:
+            raise ValueError("a chain has at least one value")
+        _require_positive_int(values[0], "start")
+        for a, b in zip(values, values[1:]):
+            if type(b) is not int:
+                raise TypeError(f"a chain holds ints, got {type(b).__name__}")
+            if b != (a // 2 if a % 2 == 0 else 3 * a + 1):
+                raise ValueError(f"not a valid step: {a} -> {b}")
 
     @property
     def start(self) -> int:

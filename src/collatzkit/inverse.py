@@ -337,8 +337,6 @@ def _walk(stack: list[int], bound: int, value_cap: int, x_max: int, budget: int)
         # about 2x slower here; n1 = (2^x * n2 - 1) / 3 grows as 4*n1 + 1
         x = 3 - r
         n1 = ((n2 << x) - 1) // 3
-        if n1 == n2:  # only the self pair (1, 2)
-            n1, x = 5, 4
         while n1 <= value_cap and x <= x_max:
             stack.append(n1)
             n1 = 4 * n1 + 1
@@ -367,8 +365,9 @@ def inverse_bfs(bound: int, value_cap: int, x_max: int) -> CoverageReport:
     reached = bytearray((bound + 1) // 2)  # odd v <= bound at index v >> 1
     walk = functools.partial(_walk, bound=bound, value_cap=value_cap, x_max=x_max, budget=WALK_BUDGET)
     expanded = 0
-    # the root's row first, so that the first round has parts to deal
-    results = [_walk([1], bound, value_cap, x_max, 1)]
+    # the root 1, expanded here so that the first round has parts to deal;
+    # its row skips the self pair (1, 2), the only record with n1 = 1
+    results = [(1, [1], [n1 for _, x, n1 in _records((1,), value_cap) if 2 < x <= x_max])]
     with _pool(None, value_cap) as (workers, run):
         parts = WALK_PARTS * workers
         while results:

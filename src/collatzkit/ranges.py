@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass
 
 from .core import _require_odd, _require_positive_int
+from .counting import i_opow_max
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ def range_step(n: int) -> RangeState:
     """Compute both candidates for odd N >= 3 and pick the smaller."""
     _require_odd(n, "N", minimum=3)
     p = (n + 1) // 2
-    n_odd = 6 * (p // 2) - 1
+    n_odd = 6 * i_opow_max(p) - 1
     m = (4 * n - 1) // 3
     n_even = m if m % 2 else m - 1
     chosen = min(n_odd, n_even)

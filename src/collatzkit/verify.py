@@ -36,7 +36,7 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .core import DEFAULT_MAX_STEPS, _pool, _require_chain, _require_odd, _require_positive_int, step
+from .core import DEFAULT_MAX_STEPS, Trajectory, _pool, _require_odd, _require_positive_int, step
 from .counting import totals, TotalsReport
 from .inverse import _count_records_by_class
 from .ranges import range_step
@@ -303,43 +303,29 @@ def verify_forward(
     )
 
 
-@dataclass(frozen=True)
-class CycleRecord:
-    """A closed chain, listed from its smallest member around the loop."""
-
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _require_chain(self.members + self.members[:1])
-        if len(set(self.members)) != len(self.members):
-            raise ValueError("cycle members must be distinct")
-
-    @classmethod
-    def from_minimum(cls, n: int) -> "CycleRecord":
-        members = [n]
-        m = step(n)
-        while m != n:
-            members.append(m)
-            m = step(m)
-        return cls(members=tuple(members))
-
-    def to_dict(self) -> dict:
-        return {"members": list(self.members)}
+def _loop(n: int) -> Trajectory:
+    # the cycle through n, from n around and back to it
+    values = [n, step(n)]
+    while values[-1] != n:
+        values.append(step(values[-1]))
+    return Trajectory(tuple(values))
 
 
 @dataclass(frozen=True)
 class CycleScanReport:
     """Outcome of a cycle scan over the odd starts in [1, bound]: the
-    cycles found, each from its minimum, and the starts left undecided
-    because their walk outran the step budget before it settled."""
+    cycles found, each a closed chain from its minimum back to it, and the
+    starts left undecided because their walk outran the step budget
+    before it settled. It is ok when no start is undecided and
+    1 -> 4 -> 2 is the only cycle."""
 
     bound: int
-    cycles: tuple[CycleRecord, ...]
+    cycles: tuple[Trajectory, ...]
     undecided: tuple[int, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.undecided
+        return not self.undecided and [c.values for c in self.cycles] == [(1, 4, 2, 1)]
 
 
 def cycle_scan(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> CycleScanReport:
@@ -356,7 +342,7 @@ def cycle_scan(bound: int, max_steps: int = DEFAULT_MAX_STEPS) -> CycleScanRepor
     minima = [1] + [n for n, reason in failures if reason == "cycle"]
     return CycleScanReport(
         bound=bound,
-        cycles=tuple(CycleRecord.from_minimum(n) for n in minima),
+        cycles=tuple(_loop(n) for n in minima),
         undecided=tuple(n for n, reason in failures if reason == "maxStepsExceeded"),
     )
 

@@ -4,6 +4,8 @@ It imports nothing from collatzkit, so it is an oracle for the inverse tree
 walk rather than a second copy of it.
 """
 
+import functools
+
 
 def chain_caps(n: int, max_odd_steps: int = 10_000) -> tuple[int, int]:
     """Literal forward walk from odd n down to 1.
@@ -23,3 +25,10 @@ def chain_caps(n: int, max_odd_steps: int = 10_000) -> tuple[int, int]:
             run += 1
         peak, longest_run = max(peak, n), max(longest_run, run)
     raise AssertionError(f"chain did not reach 1 within {max_odd_steps} odd steps")
+
+
+@functools.cache
+def chain_caps_below(bound: int) -> dict[int, tuple[int, int]]:
+    """chain_caps of every odd n <= bound, walked once per bound and shared;
+    callers only read it."""
+    return {n: chain_caps(n) for n in range(1, bound + 1, 2)}

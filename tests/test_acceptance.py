@@ -7,7 +7,6 @@ import time
 
 from collatzkit import (
     SubsetTag,
-    Trajectory,
     chain_product,
     cycle_scan,
     generate_table,
@@ -21,36 +20,9 @@ from collatzkit import (
 )
 from collatzkit.verify import reproduce_assumption_table
 
-from chain_walk import chain_caps
+from chain_walk import chain_caps_below
+from paper_tables import CAP_1E6_GAPS, TABLE1, TABLE1_GREY, TABLE2, TABLE2_GREY, TABLE3_ROWS
 from summation import totals_by_summation
-
-TABLE1 = {
-    1: [1, 5, 21, 85, 341, 1365, 5461, 21845, 87381],
-    7: [9, 37, 149, 597, 2389, 9557, 38229, 152917, 611669],
-    13: [17, 69, 277, 1109, 4437, 17749, 70997, 283989, 1135957],
-    19: [25, 101, 405, 1621, 6485, 25941, 103765, 415061, 1660245],
-}
-TABLE1_GREY = {
-    21, 1365, 87381, 9, 597, 38229, 69, 4437, 283989, 405, 25941, 1660245,
-}
-TABLE2 = {
-    5: [3, 13, 53, 213, 853, 3413, 13653, 54613, 218453],
-    11: [7, 29, 117, 469, 1877, 7509, 30037, 120149, 480597],
-    17: [11, 45, 181, 725, 2901, 11605, 46421, 185685, 742741],
-}
-TABLE2_GREY = {3, 213, 13653, 117, 7509, 480597, 45, 2901, 185685}
-
-# Rows under the pinned truncation rule: each row stops at the first value
-# an earlier row already visited, inclusive.
-TABLE3_ROWS = [
-    (1, (4, 2, 1), (1,)),
-    (3, (3, 10, 5, 16, 8, 4), (3, 5)),
-    (7, (7, 22, 11, 34, 17, 52, 26, 13, 40, 20, 10), (7, 11, 13, 17)),
-    (9, (9, 28, 14, 7), (9,)),
-    (15, (15, 46, 23, 70, 35, 106, 53, 160, 80, 40), (15,)),
-    (19, (19, 58, 29, 88, 44, 22), (19,)),
-]
-
 
 def report(num: int, ok: bool, detail: str, elapsed: float) -> None:
     status = "PASS" if ok else "FAIL"
@@ -182,20 +154,13 @@ def test_criterion_9_cycle_scan():
     scan = cycle_scan(10**6)
     elapsed = time.perf_counter() - t0
     cycles = scan.cycles
-    ok = scan.undecided == () and len(cycles) == 1 and cycles[0].members == (1, 4, 2)
-    loop = cycles[0].members
-    ok &= chain_product(Trajectory(loop + loop[:1])) == 1
+    ok = scan.undecided == () and len(cycles) == 1 and cycles[0].values == (1, 4, 2, 1)
+    ok &= chain_product(cycles[0]) == 1
     ok &= elapsed < 60.0
     report(9, ok, "scan to 1e6 finds exactly the cycle 1,4,2 with unit product", elapsed)
     assert ok
 
 
-# Odd numbers <= 1e4 whose forward odd chain climbs above 1e6 on its way to
-# 1: 4591, 6121, 6887, 8161 and 9183 need a value cap of 2,717,873, 9663
-# needs 9,038,141, and the other eight need 2,270,045.
-CAP_1E6_GAPS = frozenset(
-    {4255, 4591, 5673, 6121, 6383, 6471, 6887, 8161, 8191, 8511, 9183, 9575, 9663, 9707}
-)
 FULL_COVERAGE_CAP = 9_038_141
 # every value of the inverse tree truncated at FULL_COVERAGE_CAP and x <= 60
 FULL_COVERAGE_NODES = 2_683_277
@@ -203,7 +168,7 @@ FULL_COVERAGE_NODES = 2_683_277
 
 def test_criterion_10_inverse_coverage():
     t0 = time.perf_counter()
-    caps = {n: chain_caps(n) for n in range(1, 10**4 + 1, 2)}
+    caps = chain_caps_below(10**4)
     predicted = frozenset(n for n, (peak, run) in caps.items() if peak > 10**6 or run > 60)
     full_cap = max(peak for peak, _ in caps.values())
     ok = predicted == CAP_1E6_GAPS

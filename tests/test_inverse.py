@@ -22,24 +22,8 @@ from collatzkit import (
     uniqueness_check,
 )
 
-from chain_walk import chain_caps
-
-# The two reference grids, frozen: rows of n1 values by ascending exponent.
-TABLE_EVEN = {
-    1: [1, 5, 21, 85, 341, 1365, 5461, 21845, 87381],
-    7: [9, 37, 149, 597, 2389, 9557, 38229, 152917, 611669],
-    13: [17, 69, 277, 1109, 4437, 17749, 70997, 283989, 1135957],
-    19: [25, 101, 405, 1621, 6485, 25941, 103765, 415061, 1660245],
-}
-TABLE_EVEN_GREY = {
-    21, 1365, 87381, 9, 597, 38229, 69, 4437, 283989, 405, 25941, 1660245,
-}
-TABLE_ODD = {
-    5: [3, 13, 53, 213, 853, 3413, 13653, 54613, 218453],
-    11: [7, 29, 117, 469, 1877, 7509, 30037, 120149, 480597],
-    17: [11, 45, 181, 725, 2901, 11605, 46421, 185685, 742741],
-}
-TABLE_ODD_GREY = {3, 213, 13653, 117, 7509, 480597, 45, 2901, 185685}
+from chain_walk import chain_caps_below
+from paper_tables import CAP_1E6_GAPS, TABLE1, TABLE1_GREY, TABLE2, TABLE2_GREY
 
 
 @pytest.mark.parametrize(
@@ -103,9 +87,9 @@ def test_table_even_matches_reference():
     grey = set()
     for n2, recs in table.rows:
         assert [r.x for r in recs] == list(range(2, 19, 2))
-        assert [r.n1 for r in recs] == TABLE_EVEN[n2]
+        assert [r.n1 for r in recs] == TABLE1[n2]
         grey |= {r.n1 for r in recs if not r.generates}
-    assert grey == TABLE_EVEN_GREY
+    assert grey == TABLE1_GREY
 
 
 def test_table_odd_matches_reference():
@@ -114,9 +98,9 @@ def test_table_odd_matches_reference():
     grey = set()
     for n2, recs in table.rows:
         assert [r.x for r in recs] == list(range(1, 18, 2))
-        assert [r.n1 for r in recs] == TABLE_ODD[n2]
+        assert [r.n1 for r in recs] == TABLE2[n2]
         grey |= {r.n1 for r in recs if not r.generates}
-    assert grey == TABLE_ODD_GREY
+    assert grey == TABLE2_GREY
 
 
 def test_table_single_cell():
@@ -414,14 +398,6 @@ def test_pooled_inverse_bfs_matches_literal_bfs(monkeypatch, cpus, bound, value_
 @pytest.mark.parametrize("x_max,nodes", [(60, 297_714), (14, 297_100)])
 def test_inverse_bfs_node_counts(x_max, nodes):
     assert inverse_bfs(10**4, 10**6, x_max).nodes_expanded == nodes
-
-
-@functools.cache
-def chain_caps_below(bound):
-    return {n: chain_caps(n) for n in range(1, bound + 1, 2)}
-
-
-CAP_1E6_GAPS = {4255, 4591, 5673, 6121, 6383, 6471, 6887, 8161, 8191, 8511, 9183, 9575, 9663, 9707}
 
 
 @pytest.mark.parametrize(

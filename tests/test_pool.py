@@ -126,8 +126,9 @@ def test_no_worker_is_left_after_pooled_calls(monkeypatch):
 
 
 def _raise_in_a_worker(*args, **kwargs):
-    # the kernel as patched in: it raises in a pool worker and runs as
-    # itself in the calling process (the walk expands the root's row there)
+    # the kernel as patched in: it raises only in a pool worker, so the
+    # error the caller sees must have come from one; in the calling process
+    # it runs as itself
     if multiprocessing.parent_process() is not None:
         raise RuntimeError("worker failed")
     return _real_kernel(*args, **kwargs)

@@ -30,17 +30,7 @@ from collatzkit.verify import (
     reproduce_assumption_table,
 )
 
-# The six demonstration rows for the range [1, 19], frozen. Each row stops
-# at the first value an earlier row already visited, inclusive; start 19
-# merges at 22, which row 7 showed.
-ASSUMPTION_ROWS_19 = [
-    (1, (4, 2, 1), (1,)),
-    (3, (3, 10, 5, 16, 8, 4), (3, 5)),
-    (7, (7, 22, 11, 34, 17, 52, 26, 13, 40, 20, 10), (7, 11, 13, 17)),
-    (9, (9, 28, 14, 7), (9,)),
-    (15, (15, 46, 23, 70, 35, 106, 53, 160, 80, 40), (15,)),
-    (19, (19, 58, 29, 88, 44, 22), (19,)),
-]
+from paper_tables import TABLE3_ROWS
 
 
 def naive_descent_steps(n, max_steps):
@@ -230,7 +220,7 @@ def test_block_bounds_cover_all_odds():
 def test_cycle_scan_finds_only_terminal_cycle():
     cycles = cycle_scan(10**4).cycles
     assert len(cycles) == 1
-    assert cycles[0].members == (1, 4, 2)
+    assert cycles[0].values == (1, 4, 2, 1)
 
 
 @pytest.mark.parametrize("bound", [20_001, POOL_MIN_BOUND + 1])
@@ -239,30 +229,37 @@ def test_cycle_scan_undecided_matches_oracle(bound):
         report = cycle_scan(bound, max_steps)
         undecided = [n for n in range(3, bound + 1, 2) if naive_descent_steps(n, max_steps) is None]
         assert list(report.undecided) == undecided
-        assert [c.members for c in report.cycles] == [(1, 4, 2)]
+        assert [c.values for c in report.cycles] == [(1, 4, 2, 1)]
     report = cycle_scan(bound)
     assert report.undecided == ()
-    assert [c.members for c in report.cycles] == [(1, 4, 2)]
+    assert [c.values for c in report.cycles] == [(1, 4, 2, 1)]
 
 
 def test_cycle_scan_report_is_exported():
     assert isinstance(cycle_scan(1), CycleScanReport)
 
 
+def test_cycle_scan_report_ok_needs_exactly_the_terminal_cycle():
+    # the report alone decides: no start undecided and 1 -> 4 -> 2 the only cycle
+    assert not CycleScanReport(bound=1, cycles=(), undecided=()).ok
+    assert not CycleScanReport(bound=1, cycles=(Trajectory((4, 2, 1, 4)),), undecided=()).ok
+    assert CycleScanReport(bound=1, cycles=(Trajectory((1, 4, 2, 1)),), undecided=()).ok
+    assert not CycleScanReport(bound=1, cycles=(Trajectory((1, 4, 2, 1)),), undecided=(27,)).ok
+
+
 def test_cycle_scan_bound_one():
     cycles = cycle_scan(1).cycles
-    assert [c.members for c in cycles] == [(1, 4, 2)]
+    assert [c.values for c in cycles] == [(1, 4, 2, 1)]
 
 
 def test_cycle_product_is_one():
     (cycle,) = cycle_scan(100).cycles
-    loop = cycle.members
-    assert chain_product(Trajectory(loop + loop[:1])) == 1
+    assert chain_product(cycle) == 1
 
 
 def test_assumption_table_19_rows_bit_exact():
     rows = reproduce_assumption_table(19)
-    assert [(r.start, r.values, r.new_odds) for r in rows] == ASSUMPTION_ROWS_19
+    assert [(r.start, r.values, r.new_odds) for r in rows] == TABLE3_ROWS
 
 
 def test_assumption_table_small():
