@@ -12,7 +12,8 @@ n = 2^j*a + r has T^j(n) = 3^c*a + v, where c counts the odd ones among
 them and v = T^j(r), after j + c single steps. Once 3^c < 2^j, every
 start of the class with a large enough descends at exactly that step
 count and is never walked. A start whose class still climbs at depth k
-jumps straight to T^k(n) and is walked on from there.
+jumps straight to T^k(n) and is walked on from there, one kernel call per
+class: the next start's T^k is 3^c more.
 
 The walk itself moves K = WINDOW_BITS steps of T at a time where it can
 (Oliveira e Silva 2010). The same expansion gives, for each residue
@@ -21,15 +22,15 @@ the least ratio 3^(c_i)/2^i over its first i <= K steps, where c_i counts
 the odd values among the first i. Since T(m) >= m/2, with (3m+1)/2 > 3m/2
 for odd m, every T^i(w) is at least 3^(c_i)*w/2^i. So when w times that
 least ratio exceeds n, every value in the window, and each 3m+1 between,
-is above n: the window cannot hold the drop below n or a return to n, and
-it is taken only when the step budget covers all of it. Otherwise the walk
-takes one odd step and its halving run, and finds those exactly.
+is above n: the window cannot hold the drop below n or a return to n, so
+it is taken whole, and a step budget that runs out inside it runs out
+before either. Otherwise the walk takes one odd step and its halving run,
+and finds those exactly.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 import time
 from array import array
@@ -45,48 +46,53 @@ from .ranges import range_step
 # leaves 2114 of its 32768 odd classes to walk, in tables of about 0.1 MB.
 SIEVE_MAX_DEPTH = 16
 # The walk's window, in steps of T. For the 322,569 starts walked below 1e7
-# at depth 16, _settle took 0.58, 0.55, 0.51, 0.52 and 0.56 s with a window
-# of 4, 5, 6, 7 and 8 bits, against 0.78 s without one (2 cores, Python
-# 3.11.7; one interleaved set, medians of 5).
+# at depth 16, _walk_class took 0.23, 0.22, 0.21, 0.22 and 0.24 s with a
+# window of 4, 5, 6, 7 and 8 bits, against 0.34 s without one (2 cores,
+# Python 3.11.7; one interleaved set, medians of 5).
 WINDOW_BITS = 6
-# _settle's result for a chain that comes back to its start
-_RETURNED = -1
 
 
-def _settle(n: int, w: int, used: int, max_steps: int) -> int | None:
-    """Walk on from w, a value above odd n that the chain from n reaches
-    after `used` single steps, until the chain drops below n or comes back
-    to it.
-
-    Returns the exact step count of the drop, _RETURNED when the chain
-    comes back to n (n is then the minimum of a cycle), or None when more
-    than max_steps steps would be needed to settle either way.
-    """
-    nbl = n.bit_length()
+def _walk_class(starts: range, w: int, c3: int, used: int, max_steps: int) -> tuple[int, list[tuple[int, str]], int]:
+    """_sweep_block's (descended, failures, largest descent count) for the
+    starts of one surviving class, each walked on until its chain drops
+    below the start or comes back to it (the start is then the minimum of a
+    cycle). The first start's chain reaches w after `used` single steps,
+    and each next start's c3 more."""
     window, k, mask = _WINDOW, WINDOW_BITS, (1 << WINDOW_BITS) - 1
-    while True:
-        # a whole window of k steps of T, when every value in it is above n
-        num, shift, c3, d, steps = window[w & mask]
-        if w * num > n << shift and used + steps <= max_steps:
-            w = c3 * (w >> k) + d
-            used += steps
-            continue
-        t = (w & -w).bit_length() - 1
-        s = w >> t
-        if s <= n:
-            if s == n:
-                used += t
-                return _RETURNED if used <= max_steps else None
-            # the drop happens inside this halving run; find its exact spot
-            e = w.bit_length() - nbl
-            if (n << e) > w:
-                e -= 1
-            used += e + 1
-            return used if used <= max_steps else None
-        used += t + 1  # the halving run, then the odd step from s
-        if used > max_steps:
-            return None
-        w = 3 * s + 1
+    descended = top = 0
+    failures: list[tuple[int, str]] = []
+    for n in starts:
+        x, u = w, used
+        w += c3
+        while u <= max_steps:
+            # a whole window of k steps of T, when every value in it is above n
+            num, shift, c3k, d, steps = window[x & mask]
+            if x * num > n << shift:
+                x = c3k * (x >> k) + d
+                u += steps
+                continue
+            t = (x & -x).bit_length() - 1
+            s = x >> t
+            if s > n:
+                u += t + 1  # the halving run, then the odd step from s
+                x = 3 * s + 1
+            elif s == n:
+                u += t
+                if u <= max_steps:
+                    failures.append((n, "cycle"))
+                    break
+            else:
+                # the drop happens inside this halving run; find its exact spot
+                e = x.bit_length() - n.bit_length()
+                u += e if n << e > x else e + 1
+                if u <= max_steps:
+                    descended += 1
+                    if u > top:
+                        top = u
+                    break
+        else:
+            failures.append((n, "maxStepsExceeded"))
+    return descended, failures, top
 
 
 @functools.cache
@@ -192,16 +198,13 @@ def _sweep_block(lo: int, hi: int, max_steps: int, depth: int) -> tuple[int, lis
             max_used = max(max_used, steps)
         else:
             failures.extend((n, "maxStepsExceeded") for n in range(a_lo * mod + r, hi, mod))
-    for n, w, used in _jumps(lo, hi, depth, survivors):
-        got = _settle(n, w, used, max_steps)
-        if got is None:
-            failures.append((n, "maxStepsExceeded"))
-        elif got == _RETURNED:
-            failures.append((n, "cycle"))
-        else:
-            verified += 1
-            if got > max_used:
-                max_used = got
+    mod = 1 << depth
+    for r, c3, v, steps in zip(*survivors):
+        a = _first_a(lo, r, mod)
+        descended, failed, most = _walk_class(range(a * mod + r, hi, mod), c3 * a + v, c3, steps, max_steps)
+        verified += descended
+        failures += failed
+        max_used = max(max_used, most)
     failures.sort()
     return verified, failures, max_used
 
@@ -209,15 +212,6 @@ def _sweep_block(lo: int, hi: int, max_steps: int, depth: int) -> tuple[int, lis
 def _first_a(lo: int, r: int, mod: int) -> int:
     # the smallest a >= 0 with mod*a + r >= lo, for 0 <= r < mod and lo >= 1
     return -((r - lo) // mod)
-
-
-def _jumps(lo: int, hi: int, depth: int, survivors: tuple[array, ...]) -> Iterator[tuple[int, int, int]]:
-    """(start, T^depth(start), steps charged) for every start in [lo, hi)
-    of each surviving class, class by class."""
-    mod = 1 << depth
-    for r, c3, v, steps in zip(*survivors):
-        a = _first_a(lo, r, mod)
-        yield from zip(range(a * mod + r, hi, mod), itertools.count(c3 * a + v, c3), itertools.repeat(steps))
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,12 @@ from collatzkit import (
 )
 from collatzkit.core import POOL_MIN_BOUND
 from collatzkit.verify import (
-    _RETURNED,
     SIEVE_MAX_DEPTH,
     WINDOW_BITS,
     _block_bounds,
-    _jumps,
-    _settle,
     _sieve,
     _sweep_block,
+    _walk_class,
     assumption_bold_values,
     render_assumption_table,
     reproduce_assumption_table,
@@ -88,6 +86,20 @@ def test_sieved_block_matches_oracle_at_every_depth(max_steps):
         assert _sweep_block(20_003, 31_337, max_steps, depth) == oracle_sweep(20_003, 31_337, max_steps)
 
 
+def test_sweep_block_mixes_outcomes_inside_one_class():
+    # 8 starts of every class that survives depth 16; their descent counts
+    # run from 29 to 365, so at each budget some class has starts that
+    # descend and starts that run out
+    mod = 1 << SIEVE_MAX_DEPTH
+    lo, hi = 10**6 + 1, 10**6 + 1 + 8 * mod
+    for max_steps in (40, 100, 300):
+        expected = oracle_sweep(lo, hi, max_steps)
+        assert _sweep_block(lo, hi, max_steps, SIEVE_MAX_DEPTH) == expected, max_steps
+        failed = {n for n, _ in expected[1]}
+        classes = [range(lo + (r - lo) % mod, hi, mod) for r in _sieve(SIEVE_MAX_DEPTH)[1][0]]
+        assert any(0 < sum(n in failed for n in starts) < len(starts) for starts in classes), max_steps
+
+
 def test_sieve_thresholds_are_exact():
     # every depth builds: _sieve raises if an exit class other than that of
     # 1 mod 4 fails to descend from its residue on
@@ -111,31 +123,49 @@ def test_sieve_thresholds_are_exact():
         assert _sweep_block(lo, hi, max_steps, SIEVE_MAX_DEPTH) == oracle_sweep(lo, hi, max_steps)
 
 
-def test_settle_finds_the_terminal_cycle():
+def walk_one(n, w, used, max_steps):
+    # the class kernel on the one start n, whose chain reaches w after
+    # `used` steps (c3 = 3 is never used for one start): the drop's step
+    # count, "cycle", or None past the budget
+    descended, failures, top = _walk_class(range(n, n + 1), w, 3, used, max_steps)
+    if descended:
+        assert (descended, failures) == (1, [])
+        return top
+    ((start, reason),) = failures
+    assert (start, top) == (n, 0)
+    return None if reason == "maxStepsExceeded" else reason
+
+
+def test_walk_class_finds_the_terminal_cycle():
     # the chain from 1 comes back to 1 after 1 -> 4 -> 2 -> 1
-    assert _settle(1, 4, 1, 3) == _RETURNED
-    assert _settle(1, 4, 1, 2) is None
-    assert _settle(3, 10, 1, 100) == 6
+    assert walk_one(1, 4, 1, 3) == "cycle"
+    assert walk_one(1, 4, 1, 2) is None
+    assert walk_one(3, 10, 1, 100) == 6
 
 
-def test_settle_meets_the_budget_exactly_inside_a_window():
+def test_walk_class_meets_the_budget_exactly_inside_a_window():
     # every start walked below 200,001 at depth 16, one step short of its
-    # drop, at it and one past it
-    walked = list(_jumps(3, 200_001, SIEVE_MAX_DEPTH, _sieve(SIEVE_MAX_DEPTH)[1]))
+    # drop, at it and one past it, each from its surviving class's row
+    mod = 1 << SIEVE_MAX_DEPTH
+    walked = [
+        (n, c3 * a + v, steps)
+        for r, c3, v, steps in zip(*_sieve(SIEVE_MAX_DEPTH)[1])
+        for a, n in enumerate(range(r, 200_001, mod))
+    ]
     assert len(walked) > 6000
     for n, w, used in walked:
         need = naive_descent_steps(n, 10**4)
         for max_steps in (need - 1, need, need + 1):
-            assert _settle(n, w, used, max_steps) == naive_descent_steps(n, max_steps), (n, max_steps)
+            assert walk_one(n, w, used, max_steps) == naive_descent_steps(n, max_steps), (n, max_steps)
 
 
-def test_settle_finds_a_halving_run_that_ends_at_or_below_n():
+def test_walk_class_finds_a_halving_run_that_ends_at_or_below_n():
     # w = m*2^shift halves down to m at exactly `shift` steps, across
     # window edges: back at n is a return, just below it a drop
     for shift in range(1, 3 * WINDOW_BITS):
-        assert _settle(21, 21 << shift, 0, 100) == _RETURNED, shift
-        assert _settle(21, 19 << shift, 0, 100) == shift, shift
-        assert _settle(21, 19 << shift, 0, shift - 1) is None, shift
+        assert walk_one(21, 21 << shift, 0, 100) == "cycle", shift
+        assert walk_one(21, 19 << shift, 0, 100) == shift, shift
+        assert walk_one(21, 19 << shift, 0, shift - 1) is None, shift
 
 
 def test_verify_forward_19():
