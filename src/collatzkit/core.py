@@ -151,7 +151,11 @@ def trajectory(n: int, max_steps: int = DEFAULT_MAX_STEPS) -> Trajectory:
             break
         v = v // 2 if v % 2 == 0 else 3 * v + 1
         values.append(v)
-    return Trajectory(tuple(values))
+    # each value is the rule's image of the one before by construction, so
+    # the chain is built without __post_init__ checking every step again
+    t = object.__new__(Trajectory)
+    object.__setattr__(t, "values", tuple(values))
+    return t
 
 
 def chain_product(t: Trajectory) -> Fraction:

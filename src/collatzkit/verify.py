@@ -26,6 +26,31 @@ is above n: the window cannot hold the drop below n or a return to n, so
 it is taken whole, and a step budget that runs out inside it runs out
 before either. Otherwise the walk takes one odd step and its halving run,
 and finds those exactly.
+
+The paper's predecessor rows n1 = (2^x*n2 - 1)/3 sieve the surviving
+starts once more. An odd n = 6j + 5 is the odd successor of its ancestor
+m = (2n - 1)/3 = 4j + 3 < n (row x = 1): m -> 3m + 1 -> n. An odd
+n = 18j + 13 is reached from m = (8n - 5)/9 = 16j + 11 < n (row x = 2,
+then x = 1): m -> 3m + 1 -> (3m + 1)/2 -> (9m + 5)/2 -> (9m + 5)/4 -> n.
+Every value between m and n on these chains is above n. So if m's chain
+first drops below m at D single steps, n's chain, which is m's from step
+2 (or 5) on, is below m < n by step D - 2 (or D - 5): n descends within
+any budget m does, at a smaller count, and never walking n changes
+neither the count of descended starts nor the largest count. Those n are
+the odd starts with n mod 9 in {2, 4, 5, 8}, 4/9 of those walked, and the
+walk counts them as descended without walking them. Nor is such an n
+the minimum of a cycle while m descends: m's chain would enter the cycle
+and stay at or above n > m for good. So if n is a cycle's minimum, m
+fails, and what follows walks n and finds the cycle.
+
+The skip is exact only when the ancestor descends. For every start m that
+fails (by budget, or as a cycle's minimum), its heirs (3m + 1)/2 for
+m = 3 mod 4 and (9m + 5)/8 for m = 11 mod 16, the starts it would have
+settled, are walked after all, and so on from each heir that fails in
+turn. A heir in a class the residue sieve settles was never skipped, so
+only those in surviving classes are walked. This runs once, after the
+blocks are merged in order: a block's skipped start may have its
+ancestor in an earlier block, which that block cannot see.
 """
 
 from __future__ import annotations
@@ -50,20 +75,30 @@ SIEVE_MAX_DEPTH = 16
 # window of 4, 5, 6, 7 and 8 bits, against 0.34 s without one (2 cores,
 # Python 3.11.7; one interleaved set, medians of 5).
 WINDOW_BITS = 6
+# Bit i is set for the residues i = n mod 9 of the odd starts n that have a
+# smaller ancestor on a predecessor row (see the module docstring).
+_HAS_ANCESTOR = sum(1 << i for i in (2, 4, 5, 8))
 
 
-def _walk_class(starts: range, w: int, c3: int, used: int, max_steps: int) -> tuple[int, list[tuple[int, str]], int]:
+def _walk_class(
+    starts: range, w: int, c3: int, used: int, max_steps: int, skip: int = _HAS_ANCESTOR
+) -> tuple[int, list[tuple[int, str]], int]:
     """_sweep_block's (descended, failures, largest descent count) for the
     starts of one surviving class, each walked on until its chain drops
     below the start or comes back to it (the start is then the minimum of a
     cycle). The first start's chain reaches w after `used` single steps,
-    and each next start's c3 more."""
+    and each next start's c3 more. A start whose residue mod 9 is set in
+    `skip` is counted as descended without a walk: its ancestor settles
+    it, and _merge walks it after all if that ancestor fails."""
     window, k, mask = _WINDOW, WINDOW_BITS, (1 << WINDOW_BITS) - 1
     descended = top = 0
     failures: list[tuple[int, str]] = []
     for n in starts:
         x, u = w, used
         w += c3
+        if skip >> n % 9 & 1:
+            descended += 1
+            continue
         while u <= max_steps:
             # a whole window of k steps of T, when every value in it is above n
             num, shift, c3k, d, steps = window[x & mask]
@@ -182,7 +217,14 @@ def _sieve_depth(bound: int) -> int:
 def _sweep_block(lo: int, hi: int, max_steps: int, depth: int) -> tuple[int, list[tuple[int, str]], int]:
     """Settle every odd start in [lo, hi): (descended, failures in
     ascending order, largest descent count). A failure's reason is
-    "maxStepsExceeded" or, for a start its chain comes back to, "cycle"."""
+    "maxStepsExceeded" or, for a start its chain comes back to, "cycle".
+
+    The count is provisional: a start with a smaller ancestor is counted as
+    descended unwalked, and _merge walks it after all if the ancestor, which
+    may lie below lo, fails. The largest count is over the starts the block
+    sieved or walked: a skipped start may hold the block's own record, but
+    its ancestor, which may lie below lo, holds a higher one.
+    """
     exits, survivors = _sieve(depth)
     verified = max_used = 0
     failures: list[tuple[int, str]] = []
@@ -268,8 +310,50 @@ def _sweep(bound: int, max_steps: int, shards: int | None) -> tuple[int, list[tu
     block = functools.partial(_sweep_block, max_steps=max_steps, depth=depth)
     with _pool(shards, bound) as (workers, run):
         results = run(block, *zip(*_block_bounds(bound, workers)))
+    return _merge(results, 1, bound + 1, max_steps, depth)
+
+
+def _merge(
+    results: list[tuple[int, list[tuple[int, str]], int]], lo: int, hi: int, max_steps: int, depth: int
+) -> tuple[int, list[tuple[int, str]], int]:
+    """The blocks' results, in block order, as one: (descended, failures in
+    ascending order, largest descent count).
+
+    The starts in [lo, hi) were swept by _sweep_block at `depth`, which
+    counts a start with an ancestor as descended unwalked. Here each such
+    start whose ancestor failed is walked after all, and so on from each
+    one that fails in turn (see the module docstring).
+    """
+    verified = sum(r[0] for r in results)
     failures = [f for r in results for f in r[1]]
-    return sum(r[0] for r in results), failures, max(r[2] for r in results)
+    max_used = max(r[2] for r in results)
+    if not failures:
+        return verified, failures, max_used
+    mod = 1 << depth
+    rows = {r: row for r, *row in zip(*_sieve(depth)[1])}
+    failed = [m for m, _ in failures]
+    more: list[tuple[int, str]] = []
+    while failed:
+        for n in _heirs(failed.pop()):
+            if lo <= n < hi and n % mod in rows:
+                c3, v, steps = rows[n % mod]
+                _, lost, most = _walk_class(range(n, n + 1), c3 * (n >> depth) + v, c3, steps, max_steps, skip=0)
+                max_used = max(max_used, most)
+                if lost:
+                    more += lost
+                    failed.append(n)
+    if more:
+        failures = sorted(failures + more)
+    return verified - len(more), failures, max_used
+
+
+def _heirs(m: int) -> Iterator[int]:
+    # the starts whose ancestor is m: its odd successor (3m + 1)/2 when
+    # m = 3 mod 4, and when m = 11 mod 16 also that one's, (9m + 5)/8
+    if m % 4 == 3:
+        yield (3 * m + 1) >> 1
+        if m % 16 == 11:
+            yield (9 * m + 5) >> 3
 
 
 def verify_forward(

@@ -20,6 +20,8 @@ from collatzkit.verify import (
     SIEVE_MAX_DEPTH,
     WINDOW_BITS,
     _block_bounds,
+    _heirs,
+    _merge,
     _sieve,
     _sweep_block,
     _walk_class,
@@ -69,21 +71,82 @@ def oracle_sweep(lo, hi, max_steps):
     return verified, failures, max_used
 
 
-@pytest.mark.parametrize("max_steps", [1, 3, 6, 20, 100_000])
+def first_ancestor(lo):
+    # an odd start at or below every ancestor of a start >= lo: the
+    # ancestor (2n - 1)/3 on row x = 1 is below (8n - 5)/9 on row x = 2
+    return max(1, ((2 * lo - 1) // 3 - 1) | 1)
+
+
+def settled(blocks, max_steps, depth):
+    # _sweep_block on each of the contiguous blocks, then _merge, as _sweep
+    # merges its shards. An ancestor below the first block fails or
+    # descends as the literal walk says, so the result covers the odd starts
+    # from first_ancestor(lo) on: a block's own largest count is private,
+    # since the ancestor of its record holder may lie below it
+    lo, hi = blocks[0][0], blocks[-1][1]
+    results = [oracle_sweep(first_ancestor(lo), lo, max_steps)]
+    results += [_sweep_block(a, b, max_steps, depth) for a, b in blocks]
+    return _merge(results, lo, hi, max_steps, depth)
+
+
+def oracle_settled(lo, hi, max_steps):
+    # what settled() must give for blocks from lo to hi
+    return oracle_sweep(first_ancestor(lo), hi, max_steps)
+
+
+@pytest.mark.parametrize("max_steps", [1, 3, 6, 20, 30, 100, 300, 100_000])
 def test_sieved_sweep_matches_oracle_to_1e6(max_steps):
+    expected = oracle_sweep(1, 10**6 + 1, max_steps)
     report = verify_forward(10**6, max_steps, shards=1)
-    got = (report.verified, list(report.failures), report.max_steps_used)
-    assert got == oracle_sweep(1, 10**6 + 1, max_steps)
+    assert (report.verified, list(report.failures), report.max_steps_used) == expected
+    # split as _sweep splits it for 1, 3 and 16 shards, at an odd depth and
+    # an even one: a skipped start's ancestor may fail in an earlier block
+    for blocks in (1, 3, 16):
+        for depth in (15, 16):
+            assert settled(_block_bounds(10**6, blocks), max_steps, depth) == expected, (blocks, depth)
 
 
-@pytest.mark.parametrize("max_steps", [1, 3, 6, 30, 50, 100_000])
+@pytest.mark.parametrize("max_steps", [30, 100, 200])
+def test_fallback_sees_a_failed_ancestor_in_an_earlier_block(max_steps):
+    # the second block holds skipped starts whose ancestors fail in the
+    # first: only a fallback after the merge can walk them
+    blocks = [(1, 333_333), (333_333, 1_000_001)]
+    expected = oracle_sweep(1, 1_000_001, max_steps)
+    assert settled(blocks, max_steps, SIEVE_MAX_DEPTH) == expected
+    failed = {n for n, _ in expected[1]}
+    assert any(m < 333_333 <= n for m in failed for n in _heirs(m) if n in failed)
+
+
+def test_fallback_walks_down_a_line_of_failed_heirs():
+    # at 100 steps 703 fails (it needs 132), and so do its heir 1055 and
+    # that one's heir 1583; 7527 fails, and so do its heir 11291 and that
+    # one's heir 12703, through rows x = 2 and x = 1. Each heir lies in a
+    # class that survives depth 16 and was skipped, so each is walked only
+    # because the start before it failed
+    lines = [(703, 1055, 1583), (7527, 11291, 12703)]
+    for m, heir, next_heir in lines:
+        assert heir in _heirs(m) and next_heir in _heirs(heir)
+    assert (3 * 11291 + 1) // 2 != 12703 == (9 * 11291 + 5) // 8
+    survivors = set(_sieve(SIEVE_MAX_DEPTH)[1][0])
+    assert all(n % (1 << SIEVE_MAX_DEPTH) in survivors for line in lines for n in line[1:])
+    block_failures = {n for n, _ in _sweep_block(1, 20_001, 100, SIEVE_MAX_DEPTH)[1]}
+    assert {line[0] for line in lines} <= block_failures
+    assert not block_failures & {n for line in lines for n in line[1:]}
+    expected = oracle_sweep(1, 20_001, 100)
+    assert {n for line in lines for n in line} <= {n for n, _ in expected[1]}
+    assert settled([(1, 20_001)], 100, SIEVE_MAX_DEPTH) == expected
+
+
+@pytest.mark.parametrize("max_steps", [1, 3, 6, 30, 50, 86, 100_000])
 def test_sieved_block_matches_oracle_at_every_depth(max_steps):
+    # at 86 steps the largest count below 20,001 is held only by 6395, 13775
+    # and 14495, each skipped for an ancestor that fails and walked after
     expected = oracle_sweep(1, 20_001, max_steps)
     for depth in range(1, SIEVE_MAX_DEPTH + 1):
-        assert _sweep_block(1, 20_001, max_steps, depth) == expected, depth
+        assert settled([(1, 20_001)], max_steps, depth) == expected, depth
     # a block that starts past 1 and ends off any class boundary
     for depth in (5, 12, SIEVE_MAX_DEPTH):
-        assert _sweep_block(20_003, 31_337, max_steps, depth) == oracle_sweep(20_003, 31_337, max_steps)
+        assert settled([(20_003, 31_337)], max_steps, depth) == oracle_settled(20_003, 31_337, max_steps)
 
 
 def test_sweep_block_mixes_outcomes_inside_one_class():
@@ -93,8 +156,8 @@ def test_sweep_block_mixes_outcomes_inside_one_class():
     mod = 1 << SIEVE_MAX_DEPTH
     lo, hi = 10**6 + 1, 10**6 + 1 + 8 * mod
     for max_steps in (40, 100, 300):
-        expected = oracle_sweep(lo, hi, max_steps)
-        assert _sweep_block(lo, hi, max_steps, SIEVE_MAX_DEPTH) == expected, max_steps
+        expected = oracle_settled(lo, hi, max_steps)
+        assert settled([(lo, hi)], max_steps, SIEVE_MAX_DEPTH) == expected, max_steps
         failed = {n for n, _ in expected[1]}
         classes = [range(lo + (r - lo) % mod, hi, mod) for r in _sieve(SIEVE_MAX_DEPTH)[1][0]]
         assert any(0 < sum(n in failed for n in starts) < len(starts) for starts in classes), max_steps
@@ -120,14 +183,15 @@ def test_sieve_thresholds_are_exact():
     steps = next(s for _, r, s in exits if r == top)
     lo, hi = top - 4000, top + 2**17 + 1
     for max_steps in (steps - 1, steps, 100_000):
-        assert _sweep_block(lo, hi, max_steps, SIEVE_MAX_DEPTH) == oracle_sweep(lo, hi, max_steps)
+        assert settled([(lo, hi)], max_steps, SIEVE_MAX_DEPTH) == oracle_settled(lo, hi, max_steps)
 
 
 def walk_one(n, w, used, max_steps):
     # the class kernel on the one start n, whose chain reaches w after
-    # `used` steps (c3 = 3 is never used for one start): the drop's step
-    # count, "cycle", or None past the budget
-    descended, failures, top = _walk_class(range(n, n + 1), w, 3, used, max_steps)
+    # `used` steps (c3 = 3 is never used for one start), walked even when
+    # an ancestor would settle it: the drop's step count, "cycle", or None
+    # past the budget
+    descended, failures, top = _walk_class(range(n, n + 1), w, 3, used, max_steps, skip=0)
     if descended:
         assert (descended, failures) == (1, [])
         return top
