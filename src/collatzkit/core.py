@@ -4,6 +4,12 @@ Everything here runs on Python's native arbitrary-precision integers, so
 there is no overflow path to worry about: a chain is free to climb as high
 as it likes (start 27 already peaks at 9232). Chain products are kept as
 exact rationals; no floating point enters the forward dynamics.
+
+The shard pool, _pool, is the one place where work leaves the calling
+process. A job below POOL_MIN_BOUND, or on a platform that cannot fork,
+runs in-process; a larger one is dealt to the calling process and to
+forked children, each of which serves its share over its own pipe and
+lives only as long as the job.
 """
 
 from __future__ import annotations
@@ -32,26 +38,33 @@ def _require_odd(n: int, name: str = "n", minimum: int = 1) -> None:
 
 
 # A job this size or larger (the sweep's bound, the cross-check's largest N,
-# the walk's value cap) runs on a pool, a smaller one in-process: a pool costs
-# 12-25 ms to start. In-process against pooled on 2 cores (Python 3.11.7,
-# medians of 9; 5 for the cross-check): the sweep 0.027 s / 0.028 s at bound
-# 500,001 and 0.058 / 0.046 s at 1,000,001; the walk 0.052 / 0.069 s at cap
-# 5e5 and 0.090 / 0.086 s at 1e6; the cross-check 0.025 / 0.024 s at k_max 10
-# (N = 349,525) and 0.092 / 0.074 s at 11 (N = 1,398,101).
+# the walk's value cap) runs on a pool, a smaller one in-process. With the
+# caller working as worker 0 beside one forked child, in-process against
+# pooled on 2 cores (Python 3.11.7, medians of 9): the sweep 9.7 / 10.2 ms
+# at bound 500,001 and 15.3 / 12.0 ms at 1,000,001; the walk 22.8 / 21.4 ms
+# at cap 5e5 and 45.3 / 32.6 ms at 1e6; the cross-check 15.2 / 9.8 ms at
+# k_max 10 (N = 349,525) and 65.8 / 36.8 ms at 11 (N = 1,398,101). So the
+# pool now breaks even near 500,000 for the sweep and the walk, and below
+# N_10 for the cross-check. The threshold is still the one fitted for the
+# multiprocessing.Pool this pool replaced: started, given one task and
+# stopped, that took 4.3 ms in a small process, and this pool 2.0 ms.
 POOL_MIN_BOUND = 1_000_000
 
 
 @contextlib.contextmanager
 def _pool(most: int | None, size: int) -> Iterator[tuple[int, Callable[..., list]]]:
-    """(workers, map) for a job of `size`: workers = min(most, CPUs), most=None
+    """(workers, run) for a job of `size`: workers = min(most, CPUs), most=None
     for one per CPU, and 1 below POOL_MIN_BOUND or without fork (the threshold
-    was fitted for it). map is list-returning, like the builtin map over one
-    or more iterables, across `workers` forked processes, one task per
-    dispatch in order of submission, and runs in-process for one worker.
+    was fitted for it). run(f, *iterables) is list-returning, like the
+    builtin map: task i goes to worker i % workers, and the results come
+    back in order of submission. Worker 0 is the calling process; each of
+    the others is a forked child, sent its whole share in one message
+    before the caller starts on its own.
 
-    The pool lives as long as the with block, so a caller with several
-    rounds of tasks starts it once. On leaving the block, a worker's
-    exception included, every worker is stopped and reaped.
+    The children live as long as the with block, so a caller with several
+    rounds of tasks forks them once. A task's exception is raised in the
+    caller, and a child that dies raises ChildProcessError there. On
+    leaving the block, either way, every child is stopped and reaped.
     """
     cpus = os.cpu_count() or 1
     workers = min(most or cpus, cpus) if size >= POOL_MIN_BOUND else 1
@@ -62,8 +75,65 @@ def _pool(most: int | None, size: int) -> Iterator[tuple[int, Callable[..., list
     if workers == 1:
         yield 1, lambda f, *args: list(map(f, *args))
         return
-    with ctx.Pool(workers) as pool:
-        yield workers, lambda f, *args: pool.starmap(f, zip(*args), chunksize=1)
+    conns, children = [], []
+
+    def run(f: Callable, *args) -> list:
+        tasks = list(zip(*args))
+        busy = list(zip(range(1, len(tasks)), conns, children))
+        for w, conn, child in busy:
+            _talk(child, conn.send, (f, tasks[w::workers]))
+        results = [None] * len(tasks)
+        results[::workers] = [f(*task) for task in tasks[::workers]]
+        for w, conn, child in busy:
+            ok, value = _talk(child, conn.recv)
+            if not ok:
+                raise value
+            results[w::workers] = value
+        return results
+
+    try:
+        for _ in range(workers - 1):
+            # each pipe made just before its child, and the child's end closed
+            # here once it runs, so the child holds the only copy: when it
+            # dies, recv sees the end of the pipe instead of waiting forever
+            conn, theirs = ctx.Pipe()
+            child = ctx.Process(target=_serve, args=(theirs,), daemon=True)
+            child.start()
+            theirs.close()
+            conns.append(conn)
+            children.append(child)
+        yield workers, run
+    finally:
+        for child in children:
+            child.terminate()
+            child.join()
+        for conn in conns:
+            conn.close()
+
+
+def _talk(child, call: Callable, *args):
+    # call(*args) on the pipe to `child`, which fails only when the child
+    # holds its end no more: it died
+    try:
+        return call(*args)
+    except (EOFError, ConnectionError):
+        child.join()
+        raise ChildProcessError(f"pool worker {child.pid} died with exit code {child.exitcode}") from None
+
+
+def _serve(conn) -> None:
+    # a pool worker: run each share of tasks it is sent, and send back
+    # (True, the results in order) or (False, the exception one raised)
+    while True:
+        try:
+            f, share = conn.recv()
+        except EOFError:  # the caller is gone
+            return
+        try:
+            reply = True, [f(*task) for task in share]
+        except Exception as exc:
+            reply = False, exc
+        conn.send(reply)
 
 
 def step(n: int) -> int:

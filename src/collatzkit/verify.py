@@ -48,9 +48,11 @@ fails (by budget, or as a cycle's minimum), its heirs (3m + 1)/2 for
 m = 3 mod 4 and (9m + 5)/8 for m = 11 mod 16, the starts it would have
 settled, are walked after all, and so on from each heir that fails in
 turn. A heir in a class the residue sieve settles was never skipped, so
-only those in surviving classes are walked. This runs once, after the
-blocks are merged in order: a block's skipped start may have its
-ancestor in an earlier block, which that block cannot see.
+only those in surviving classes are walked. Whether an heir of m lands in
+a surviving class depends on m mod 2^(depth + 3) alone, so one lookup in a
+table of those residues dismisses every failure without one. This runs
+once, after the blocks are merged in order: a block's skipped start may
+have its ancestor in an earlier block, which that block cannot see.
 """
 
 from __future__ import annotations
@@ -331,7 +333,8 @@ def _merge(
         return verified, failures, max_used
     mod = 1 << depth
     rows = {r: row for r, *row in zip(*_sieve(depth)[1])}
-    failed = [m for m, _ in failures]
+    ancestors, big = _ancestors(depth), (mod << 3) - 1
+    failed = [m for m, _ in failures if m & big in ancestors]
     more: list[tuple[int, str]] = []
     while failed:
         for n in _heirs(failed.pop()):
@@ -343,8 +346,26 @@ def _merge(
                     more += lost
                     failed.append(n)
     if more:
-        failures = sorted(failures + more)
+        failures += more
+        failures.sort()
     return verified - len(more), failures, max_used
+
+
+@functools.cache
+def _ancestors(depth: int) -> frozenset[int]:
+    """The residues mod 2^(depth + 3) of the starts m that have an heir in
+    a class that survives the sieve at `depth`; no other failure has an
+    heir to walk. An heir (3m + 1)/2 = r mod 2^depth holds exactly when
+    m = (2r - 1)/3 mod 2^(depth + 1), and (9m + 5)/8 = r when
+    m = (8r - 5)/9 mod 2^(depth + 3); for odd r, each gives m = 3 mod 4 or
+    m = 11 mod 16 as _heirs asks."""
+    half, mod = 2 << depth, 8 << depth
+    third, ninth = pow(3, -1, half), pow(9, -1, mod)
+    out = set()
+    for r in _sieve(depth)[1][0]:
+        out.update(range((2 * r - 1) * third % half, mod, half))
+        out.add((8 * r - 5) * ninth % mod)
+    return frozenset(out)
 
 
 def _heirs(m: int) -> Iterator[int]:

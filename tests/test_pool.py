@@ -1,11 +1,13 @@
-"""The shard pool: its width, reports that do not depend on the worker count
-or the walk budget, and no worker process left behind, also after a worker
-raised or where the platform cannot fork."""
+"""The shard pool: its width, how it deals tasks, reports that do not
+depend on the worker count or the walk budget, and no worker process left
+behind, also after a worker raised or died or where the platform cannot
+fork."""
 
 import contextlib
 import io
 import multiprocessing
 import os
+import signal
 
 import pytest
 
@@ -151,4 +153,78 @@ def test_a_worker_exception_reaches_the_caller_and_no_worker_is_left(monkeypatch
     monkeypatch.setattr(module, kernel, _raise_in_a_worker)
     with pytest.raises(RuntimeError, match="worker failed"):
         call()
+    assert multiprocessing.active_children() == []
+
+
+def _where(i):
+    return i, os.getpid()
+
+
+@pytest.mark.parametrize("tasks", [0, 1, 2, 5, 7])
+def test_run_deals_task_i_to_worker_i_mod_workers_and_returns_in_order(monkeypatch, tasks):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    with core._pool(None, core.POOL_MIN_BOUND) as (workers, run):
+        assert workers == 3
+        results = run(_where, range(tasks))
+    assert [i for i, _ in results] == list(range(tasks))
+    # worker 0 is the calling process, and each other worker one child
+    for i, pid in results:
+        assert (pid == os.getpid()) == (i % 3 == 0)
+        assert pid == results[i % 3][1]
+    assert len({pid for _, pid in results[:3]}) == min(tasks, 3)
+    assert multiprocessing.active_children() == []
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    # a pool that waits forever fails the test instead of hanging the suite
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _die_in_a_worker(*args, **kwargs):
+    # the kernel as patched in: a pool worker dies in it as if killed, with
+    # no exception to send back; in the calling process it runs as itself
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return _real_kernel(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize(
+    "module,kernel,call",
+    [
+        (inverse, "_walk", lambda: inverse_bfs(999, 10**5, 60)),
+        (verify, "_count_records_by_class", lambda: cross_check_totals(6)),
+        (verify, "_sweep_block", lambda: verify_forward(10_001)),
+    ],
+)
+def test_a_worker_that_dies_raises_in_the_caller_and_no_worker_is_left(monkeypatch, cpus, module, kernel, call):
+    _pool_everything(monkeypatch, cpus)
+    monkeypatch.setitem(globals(), "_real_kernel", getattr(module, kernel))
+    monkeypatch.setattr(module, kernel, _die_in_a_worker)
+    with _deadline(15), pytest.raises(ChildProcessError, match="exit code 3"):
+        call()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_is_a_cli_error(monkeypatch):
+    _pool_everything(monkeypatch, 2)
+    monkeypatch.setitem(globals(), "_real_kernel", inverse._walk)
+    monkeypatch.setattr(inverse, "_walk", _die_in_a_worker)
+    err = io.StringIO()
+    with _deadline(15), contextlib.redirect_stderr(err):
+        code, _ = _stdout(CLI_CALLS[0])
+    assert code == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "Traceback" not in err.getvalue()
     assert multiprocessing.active_children() == []

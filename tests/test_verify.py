@@ -19,6 +19,7 @@ from collatzkit.core import POOL_MIN_BOUND
 from collatzkit.verify import (
     SIEVE_MAX_DEPTH,
     WINDOW_BITS,
+    _ancestors,
     _block_bounds,
     _heirs,
     _merge,
@@ -135,6 +136,16 @@ def test_fallback_walks_down_a_line_of_failed_heirs():
     expected = oracle_sweep(1, 20_001, 100)
     assert {n for line in lines for n in line} <= {n for n, _ in expected[1]}
     assert settled([(1, 20_001)], 100, SIEVE_MAX_DEPTH) == expected
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5, 8, 11, SIEVE_MAX_DEPTH])
+def test_ancestor_table_holds_exactly_the_starts_with_an_heir_to_walk(depth):
+    # every odd m over two periods of the table, against _heirs and the
+    # surviving classes themselves
+    survivors, mod = set(_sieve(depth)[1][0]), 1 << depth
+    table, period = _ancestors(depth), 8 << depth
+    for m in range(1, 2 * period, 2):
+        assert (m % period in table) == any(n % mod in survivors for n in _heirs(m)), m
 
 
 @pytest.mark.parametrize("max_steps", [1, 3, 6, 30, 50, 86, 100_000])
