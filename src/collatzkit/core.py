@@ -40,15 +40,14 @@ def _require_odd(n: int, name: str = "n", minimum: int = 1) -> None:
 # A job this size or larger (the sweep's bound, the cross-check's largest N,
 # the walk's value cap) runs on a pool, a smaller one in-process. With the
 # caller working as worker 0 beside one forked child, in-process against
-# pooled on 2 cores (Python 3.11.7, medians of 9): the sweep 9.7 / 10.2 ms
-# at bound 500,001 and 15.3 / 12.0 ms at 1,000,001; the walk 22.8 / 21.4 ms
-# at cap 5e5 and 45.3 / 32.6 ms at 1e6; the cross-check 15.2 / 9.8 ms at
-# k_max 10 (N = 349,525) and 65.8 / 36.8 ms at 11 (N = 1,398,101). So the
-# pool now breaks even near 500,000 for the sweep and the walk, and below
-# N_10 for the cross-check. The threshold is still the one fitted for the
-# multiprocessing.Pool this pool replaced: started, given one task and
-# stopped, that took 4.3 ms in a small process, and this pool 2.0 ms.
-POOL_MIN_BOUND = 1_000_000
+# pooled on 2 cores (Python 3.11.7, medians of 11): the sweep 4.0 / 4.5 ms
+# at bound 200,001, 4.6 / 4.6 ms at 250,001 and 5.9 / 5.2 ms at 350,001;
+# the walk of [1, 1e4] 8.5 / 9.5 ms at cap 250,001, 10.0 / 9.8 ms at
+# 300,001 and 11.5 / 10.9 ms at 350,001; the cross-check 3.4 / 3.2 ms at
+# k_max 9 (N = 87,381) and 13.2 / 8.4 ms at 10 (N = 349,525). So the pool
+# breaks even near 300,000, where the threshold sits. It stays above the
+# desk-scale calls, whose largest size is a value cap of about 200,000.
+POOL_MIN_BOUND = 300_000
 
 
 @contextlib.contextmanager

@@ -11,6 +11,12 @@ splits the odd numbers into three residue classes mod 6:
 The pair (n2, x) = (1, 2) maps 1 onto itself through the terminal cycle;
 it is a legitimate table cell but is excluded from tree expansion.
 
+Along a row n1 rises with x, so an exponent cap is a cap on n1: x <= x_max
+exactly when n1 <= ((n2 << x_max) - 1) // 3. That bound is at least
+value_cap once n2 > (3*value_cap + 1) >> x_max, so under both caps only
+the rows at or below that point need it; every other row stops at
+value_cap alone.
+
 Every odd n1 has exactly one parent, its odd successor, since x must be
 the 2-adic valuation of 3*n1 + 1. With the self pair excluded, expansion
 from 1 is therefore a tree: inverse_bfs walks it with a plain stack and
@@ -30,14 +36,14 @@ from .core import _pool, _require_odd, _require_positive_int
 SELF_ITERATION = (1, 2)
 # A round deals the open stack into WALK_PARTS parts per worker, each
 # walking at most WALK_BUDGET nodes; part i goes to worker i % workers. At
-# cap 9,038,141 (2,683,277 nodes) that is 16 pooled rounds: 0.23 s against
-# 0.41 s in-process on 2 cores (Python 3.11.7, medians of 9). Measured in
-# one session, 1 to 4 parts per worker at budgets of 10,000 to 100,000 all
-# took 0.20-0.25 s there and one unbudgeted round 0.36-0.39 s; at cap 1e6,
-# budgets of 10,000 and 25,000 took 27-34 ms against 33-46 ms at 50,000 and
-# more. Any split made once leaves one core with most of the work: cut at
-# a breadth-first frontier of 10,490 nodes, one subtree still holds 39% of
-# the tree.
+# cap 9,038,141 (2,683,277 nodes) that is 16 pooled rounds: 0.15 s against
+# 0.28 s in-process on 2 cores (Python 3.11.7, medians of 9). Measured side
+# by side there (pooled, medians of 7), 25,000 nodes x 4 parts took 153-154
+# ms, 50,000 x 4 153-154 ms, 25,000 x 2 159-161 ms, 12,500 x 8 158-164 ms
+# and 100,000 x 4 171-175 ms; at cap 1e6 (medians of 11),
+# 25,000 x 4 took 21.3 ms against 27.0 ms at 50,000 x 4. Any split made
+# once leaves one core with most of the work: cut at a breadth-first
+# frontier of 10,490 nodes, one subtree still holds 39% of the tree.
 WALK_BUDGET = 25_000
 WALK_PARTS = 4
 
@@ -115,7 +121,7 @@ def _records(rows: Iterable[int], n1_cap: int) -> Iterator[tuple[int, int, int]]
 
 
 def _row(n2: int, x_max: int) -> Iterator[tuple[int, int, int]]:
-    # x <= x_max is the same as n1 <= ((n2 << x_max) - 1) // 3, n1 rising with x
+    # the exponent cap as a cap on n1 (see the module docstring)
     return _records((n2,), ((n2 << x_max) - 1) // 3)
 
 
@@ -330,6 +336,11 @@ def _walk(stack: list[int], bound: int, value_cap: int, x_max: int, budget: int)
     """
     hits = []
     expanded = 0
+    # no exponent is tracked: a row n2 <= x_low stops at its x_max bound on
+    # n1 (see the module docstring), any other at value_cap; a first child
+    # above `quarter` has no sibling 4*n1 + 1 within value_cap
+    x_low = (3 * value_cap + 1) >> x_max
+    quarter = (value_cap - 1) // 4
     while stack and expanded < budget:
         n2 = stack.pop()
         while True:
@@ -340,17 +351,17 @@ def _walk(stack: list[int], bound: int, value_cap: int, x_max: int, budget: int)
             if not r:
                 break
             # the row walk of _records, inline: a generator per node measured
-            # about 2x slower here; n1 = (2^x * n2 - 1) / 3 grows as 4*n1 + 1
-            x = 3 - r
-            first = ((n2 << x) - 1) // 3
-            if first > value_cap or x > x_max:
+            # about 2x slower here. n1 = (2^x * n2 - 1) / 3 is exact, so it is
+            # (2^x * n2) // 3, from x = 3 - r, and grows as 4*n1 + 1
+            lim = value_cap if n2 > x_low else ((n2 << x_max) - 1) // 3
+            first = (n2 << (3 - r)) // 3
+            if first > lim:
                 break
-            n1 = 4 * first + 1
-            x += 2
-            while n1 <= value_cap and x <= x_max:
-                stack.append(n1)
-                n1 = 4 * n1 + 1
-                x += 2
+            if first <= quarter:
+                n1 = 4 * first + 1
+                while n1 <= lim:
+                    stack.append(n1)
+                    n1 = 4 * n1 + 1
             n2 = first
     return expanded, hits, stack
 

@@ -556,7 +556,7 @@ class CrossCheckEntry:
 def cross_check_totals(k_max: int) -> tuple[CrossCheckEntry, ...]:
     """For k = 2..k_max, compare the closed-form totals with the brute odd
     count and with a direct per-class enumeration of the records, in one
-    interleaved part of rows per worker of _pool (one per CPU from k_max 11)."""
+    interleaved part of rows per worker of _pool (one per CPU from k_max 10)."""
     _require_positive_int(k_max, "k_max", minimum=2)
     reports = [totals(k) for k in range(2, k_max + 1)]
     ns = [rep.n for rep in reports]

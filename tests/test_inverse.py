@@ -354,7 +354,15 @@ LITERAL_GRID = [
     (99, 99, 60),
     (999, 10**4, 1),
     (999, 10**4, 2),
+    # rows n2 <= x_low = (3*value_cap + 1) >> x_max stop at their exponent
+    # cap, the others at value_cap: x_low is 3, 1 and 0 here, and 2 below
+    (999, 10**4, 13),
+    (999, 10**4, 14),
+    (999, 10**4, 15),
+    (2001, 2001, 11),
     (2001, 10**5, 60),
+    # no row is shifted by x_max: at 10**9 that shift would not finish
+    (2001, 10**5, 10**9),
     (10**4, 10**4, 60),
     (10**4, 10**5, 8),
     (10**4, 10**6, 8),

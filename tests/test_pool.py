@@ -73,12 +73,12 @@ def test_without_fork_every_call_runs_in_process(monkeypatch):
 
 
 # each pooled caller with the two sizes that straddle core.POOL_MIN_BOUND: the
-# sweep's bound, the cross-check's k_max (N_10 = 349,525 < POOL_MIN_BOUND <=
-# N_11 = 1,398,101) and the tree walk's value cap
+# sweep's bound, the cross-check's k_max (N_9 = 87,381 < POOL_MIN_BOUND <=
+# N_10 = 349,525) and the tree walk's value cap
 BELOW_AND_AT = [core.POOL_MIN_BOUND - 1, core.POOL_MIN_BOUND]
 CALLERS = {
     "verify_forward": (verify, BELOW_AND_AT, lambda bound: verify_forward(bound).ok),
-    "cross_check_totals": (verify, [10, 11], lambda k_max: all(e.counts_match for e in cross_check_totals(k_max))),
+    "cross_check_totals": (verify, [9, 10], lambda k_max: all(e.counts_match for e in cross_check_totals(k_max))),
     "cycle_scan": (verify, BELOW_AND_AT, lambda bound: cycle_scan(bound).ok),
     "inverse_bfs": (inverse, BELOW_AND_AT, lambda cap: inverse_bfs(1, cap, 4).reached == {1}),
 }
