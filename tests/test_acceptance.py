@@ -20,7 +20,7 @@ from collatzkit import (
 )
 from collatzkit.verify import reproduce_assumption_table
 
-from chain_walk import chain_caps_below
+from literal import chain_caps_below
 from paper_tables import CAP_1E6_GAPS, TABLE1, TABLE1_GREY, TABLE2, TABLE2_GREY, TABLE3_ROWS
 from summation import totals_by_summation
 

@@ -16,14 +16,7 @@ from collatzkit import (
     v2,
 )
 
-
-def naive_step_count_to_one(n):
-    # independent oracle: raw iteration, no shortcuts
-    count = 0
-    while n != 1:
-        n = n // 2 if n % 2 == 0 else 3 * n + 1
-        count += 1
-    return count
+from literal import steps_to_one
 
 
 @pytest.mark.parametrize(
@@ -89,7 +82,7 @@ def test_trajectory_of_one_is_empty():
 
 
 def test_trajectory_27_terminates_in_111_steps():
-    assert naive_step_count_to_one(27) == 111  # oracle agrees with the frozen value
+    assert steps_to_one(27) == 111  # oracle agrees with the frozen value
     t = trajectory(27, 200)
     assert t.terminated
     assert len(t.values) - 1 == 111

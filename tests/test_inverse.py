@@ -1,8 +1,6 @@
 """Inverse recurrence: classification, predecessor records, tables, tree walk."""
 
-import functools
 import os
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +20,7 @@ from collatzkit import (
     uniqueness_check,
 )
 
-from chain_walk import chain_caps_below
+from literal import chain_caps, chain_caps_below, literal_bfs
 from paper_tables import CAP_1E6_GAPS, TABLE1, TABLE1_GREY, TABLE2, TABLE2_GREY
 
 
@@ -320,31 +318,6 @@ def test_coverage_partition():
     assert not (report.reached & report.unreached)
 
 
-def literal_bfs(bound, value_cap, x_max):
-    """Breadth-first expansion from 1 with a visited set, written out.
-
-    Tries every x in 1..x_max against 2^x * n2 = 1 mod 3 and stops a row
-    once n1 = (2^x * n2 - 1) / 3 passes value_cap. Returns the reached and
-    unreached odds up to bound and the number of nodes expanded.
-    """
-    visited = {1}
-    frontier = deque([1])
-    expanded = 0
-    while frontier:
-        n2 = frontier.popleft()
-        expanded += 1
-        for x in range(1, x_max + 1):
-            m = n2 * 2**x
-            if m > 3 * value_cap + 1:
-                break
-            n1 = (m - 1) // 3
-            if m % 3 == 1 and (n2, x) != (1, 2) and n1 not in visited:
-                visited.add(n1)
-                frontier.append(n1)
-    reached = {v for v in visited if v <= bound}
-    return reached, set(range(1, bound + 1, 2)) - reached, expanded
-
-
 LITERAL_GRID = [
     (1, 1, 1),
     (1, 1, 2),
@@ -380,17 +353,12 @@ def test_inverse_bfs_matches_literal_bfs(bound, value_cap, x_max):
     assert report.nodes_expanded == expanded
 
 
-@functools.cache
-def cached_literal_bfs(bound, value_cap, x_max):
-    return literal_bfs(bound, value_cap, x_max)
-
-
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("bound,value_cap,x_max", LITERAL_GRID)
 def test_pooled_inverse_bfs_matches_literal_bfs(monkeypatch, cpus, bound, value_cap, x_max):
     # every cap pools on more than one CPU, in rounds of at most `budget`
     # nodes per part; budget 1 only where the rounds stay few enough to run
-    reached, unreached, expanded = cached_literal_bfs(bound, value_cap, x_max)
+    reached, unreached, expanded = literal_bfs(bound, value_cap, x_max)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(core, "POOL_MIN_BOUND", 1)
     for budget in (1, 1000, inverse.WALK_BUDGET):
@@ -427,3 +395,8 @@ def test_inverse_bfs_gaps_match_forward_oracle_at_thresholds(value_cap, x_max, e
     }
     assert predicted == expected
     assert inverse_bfs(10**4, value_cap, x_max).unreached == expected
+
+
+def test_chain_caps_of_9663():
+    # 9663's chain peaks at the cap that full coverage of [1, 1e4] needs
+    assert chain_caps(9663) == (9_038_141, 6)

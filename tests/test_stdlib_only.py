@@ -1,5 +1,6 @@
-"""The package imports nothing outside the standard library, and it checks
-its arguments with `raise`, never with `assert`.
+"""The package and its literal oracles, tests/literal.py, import nothing
+outside the standard library, and the package checks its arguments with
+`raise`, never with `assert`.
 
 numpy may well be installed where the tests run, so an accidental import
 would pass every other test; this reads the imports instead of running them.
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "collatzkit").glob("*.py"))
+LITERAL = Path(__file__).resolve().parent / "literal.py"
 
 
 def test_sources_found():
@@ -25,7 +27,7 @@ def _nodes(path):
     return ast.walk(ast.parse(path.read_text(), filename=str(path)))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*SOURCES, LITERAL], ids=lambda p: p.name)
 def test_imports_only_the_standard_library(path):
     modules = set()
     for node in _nodes(path):

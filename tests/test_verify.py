@@ -31,45 +31,29 @@ from collatzkit.verify import (
     reproduce_assumption_table,
 )
 
+from literal import chain_caps_below, descent_steps, oracle_sweep
 from paper_tables import TABLE3_ROWS
 
 
-def naive_descent_steps(n, max_steps):
-    # oracle: raw single-step walk until the value drops below the start
-    if n == 1:
-        return 0
-    v = n
-    used = 0
-    while used < max_steps:
-        v = v // 2 if v % 2 == 0 else 3 * v + 1
-        used += 1
-        if v < n:
-            return used
-    return None
-
-
 def test_descent_steps_budget():
-    assert naive_descent_steps(3, 5) is None  # 3 needs 6 steps to dip below itself
-    assert naive_descent_steps(3, 6) == 6
-    assert naive_descent_steps(7, 11) == 11
-    assert naive_descent_steps(7, 10) is None
+    assert descent_steps(3, 5) is None  # 3 needs 6 steps to dip below itself
+    assert descent_steps(3, 6) == 6
+    assert descent_steps(7, 11) == 11
+    assert descent_steps(7, 10) is None
     for n, need in ((3, 6), (7, 11)):
         assert (n, "maxStepsExceeded") in verify_forward(n, need - 1, shards=1).failures
         assert verify_forward(n, need, shards=1).failures == ()
 
 
-def oracle_sweep(lo, hi, max_steps):
-    # (verified, failures, max_steps_used) of the odd starts in [lo, hi),
-    # one literal walk per start
-    verified, failures, max_used = 0, [], 0
-    for n in range(lo, hi, 2):
-        got = naive_descent_steps(n, max_steps)
-        if got is None:
-            failures.append((n, "maxStepsExceeded"))
-        else:
-            verified += 1
-            max_used = max(max_used, got)
-    return verified, failures, max_used
+def test_descent_records_below_1e5():
+    # the glide records: each odd start whose descent count beats every
+    # smaller start's (Roosendaal), and the sweep's maximum up to each
+    records = [(1, 0)]
+    for n in range(3, 10**5, 2):
+        if (steps := descent_steps(n, 10**4)) > records[-1][1]:
+            records.append((n, steps))
+    assert records == [(1, 0), (3, 6), (7, 11), (27, 96), (703, 132), (10087, 171), (35655, 220)]
+    assert [(n, verify_forward(n, shards=1).max_steps_used) for n, _ in records] == records
 
 
 def first_ancestor(lo):
@@ -88,11 +72,6 @@ def settled(blocks, max_steps, depth):
     results = [oracle_sweep(first_ancestor(lo), lo, max_steps)]
     results += [_sweep_block(a, b, max_steps, depth) for a, b in blocks]
     return _merge(results, lo, hi, max_steps, depth)
-
-
-def oracle_settled(lo, hi, max_steps):
-    # what settled() must give for blocks from lo to hi
-    return oracle_sweep(first_ancestor(lo), hi, max_steps)
 
 
 @pytest.mark.parametrize("max_steps", [1, 3, 6, 20, 30, 100, 300, 100_000])
@@ -156,8 +135,9 @@ def test_sieved_block_matches_oracle_at_every_depth(max_steps):
     for depth in range(1, SIEVE_MAX_DEPTH + 1):
         assert settled([(1, 20_001)], max_steps, depth) == expected, depth
     # a block that starts past 1 and ends off any class boundary
+    expected = oracle_sweep(first_ancestor(20_003), 31_337, max_steps)
     for depth in (5, 12, SIEVE_MAX_DEPTH):
-        assert settled([(20_003, 31_337)], max_steps, depth) == oracle_settled(20_003, 31_337, max_steps)
+        assert settled([(20_003, 31_337)], max_steps, depth) == expected
 
 
 def test_sweep_block_mixes_outcomes_inside_one_class():
@@ -167,7 +147,7 @@ def test_sweep_block_mixes_outcomes_inside_one_class():
     mod = 1 << SIEVE_MAX_DEPTH
     lo, hi = 10**6 + 1, 10**6 + 1 + 8 * mod
     for max_steps in (40, 100, 300):
-        expected = oracle_settled(lo, hi, max_steps)
+        expected = oracle_sweep(first_ancestor(lo), hi, max_steps)
         assert settled([(lo, hi)], max_steps, SIEVE_MAX_DEPTH) == expected, max_steps
         failed = {n for n, _ in expected[1]}
         classes = [range(lo + (r - lo) % mod, hi, mod) for r in _sieve(SIEVE_MAX_DEPTH)[1][0]]
@@ -187,14 +167,14 @@ def test_sieve_thresholds_are_exact():
     # each class's smallest start >= 3 descends at exactly the class's count
     for mod, r, steps in exits:
         n = r if r >= 3 else r + mod
-        assert naive_descent_steps(n, 10**4) == steps, (mod, r)
+        assert descent_steps(n, 10**4) == steps, (mod, r)
     # around the largest residue of a sieved class, at the class's own count
     top = max(r for _, r, _ in exits)
     assert top == 65_439
     steps = next(s for _, r, s in exits if r == top)
     lo, hi = top - 4000, top + 2**17 + 1
     for max_steps in (steps - 1, steps, 100_000):
-        assert settled([(lo, hi)], max_steps, SIEVE_MAX_DEPTH) == oracle_settled(lo, hi, max_steps)
+        assert settled([(lo, hi)], max_steps, SIEVE_MAX_DEPTH) == oracle_sweep(first_ancestor(lo), hi, max_steps)
 
 
 def walk_one(n, w, used, max_steps):
@@ -229,9 +209,9 @@ def test_walk_class_meets_the_budget_exactly_inside_a_window():
     ]
     assert len(walked) > 6000
     for n, w, used in walked:
-        need = naive_descent_steps(n, 10**4)
+        need = descent_steps(n, 10**4)
         for max_steps in (need - 1, need, need + 1):
-            assert walk_one(n, w, used, max_steps) == naive_descent_steps(n, max_steps), (n, max_steps)
+            assert walk_one(n, w, used, max_steps) == descent_steps(n, max_steps), (n, max_steps)
 
 
 def test_walk_class_finds_a_halving_run_that_ends_at_or_below_n():
@@ -332,8 +312,7 @@ def test_cycle_scan_finds_only_terminal_cycle():
 def test_cycle_scan_undecided_matches_oracle(bound):
     for max_steps in (1, 6, 20, 100):
         report = cycle_scan(bound, max_steps)
-        undecided = [n for n in range(3, bound + 1, 2) if naive_descent_steps(n, max_steps) is None]
-        assert list(report.undecided) == undecided
+        assert list(report.undecided) == [n for n, _ in oracle_sweep(3, bound + 1, max_steps)[1]]
         assert [c.values for c in report.cycles] == [(1, 4, 2, 1)]
     report = cycle_scan(bound)
     assert report.undecided == ()
@@ -450,12 +429,8 @@ def test_forward_inverse_agreement_small_bounds():
     for bound in (29, 101, 999):
         report = verify_forward(bound)
         assert report.failures == ()
-        peak = 0
-        for n in range(1, bound + 1, 2):
-            v = n
-            while v != 1:
-                v = v // 2 if v % 2 == 0 else 3 * v + 1
-                peak = max(peak, v)
+        # the largest value on any chain is 3m + 1 for its largest odd m
+        peak = 3 * max(p for p, _ in chain_caps_below(bound).values()) + 1
         cov = inverse_bfs(bound, 10 * peak, 60)
         assert cov.unreached == frozenset()
         assert cov.reached == set(range(1, bound + 1, 2))

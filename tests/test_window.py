@@ -1,17 +1,15 @@
 """The descent sweep's tables against a literal walk of T: the rows of
 the residue sieve that the walk starts from, and its k-step window.
 
-Only the tables come from collatzkit; T, its step counts and the bound
-every row claims are recomputed here one step at a time.
+Only the tables come from collatzkit. T comes from tests/literal.py; its
+step counts and the bound every row claims are recomputed one step at a time.
 """
 
 from collatzkit.verify import _WINDOW, _sieve
 
+from literal import T
+
 K = len(_WINDOW).bit_length() - 1
-
-
-def T(m):
-    return (3 * m + 1) // 2 if m % 2 else m // 2
 
 
 def test_window_rows_match_a_literal_walk():
