@@ -3,19 +3,19 @@
 For N = (4^k - 1)/3 the records with n1 <= N split by row class into
 exactly k from the row n2 = 1, T_o from the 6i-1 rows and T_e from the
 6i+1 rows, and k + T_o + T_e equals the number of odd values in [1, N].
-Every division below is exact integer arithmetic with the divisibility
+Every closed form below is an exact integer division with the divisibility
 checked; a remainder would mean a transcribed formula is wrong, so it
 raises instead of rounding.
 
-Floors of half-logarithms (the k_j expressions) are computed through
-integer comparisons, never through floating log2: floats cannot certify
-that a ratio is an exact power of two. Floating point appears only in
-display values.
+Every floor is integer arithmetic too: a depth-f row index is one divmod,
+its remainder kept as an exact Fraction, and a half-log floor (the k_j
+expressions) comes from integer comparisons, never from a floating log2,
+which cannot certify that a ratio is an exact power of two. No floating
+point enters the module.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,18 +45,17 @@ def _floor_log2_ratio(num: int, den: int) -> int:
 
 @dataclass(frozen=True)
 class FloorRemainder:
-    """A floored expression together with its fractional part.
+    """A floored expression together with its exact fractional part.
 
-    `remainder` is exact whenever the underlying expression is rational
-    (the i-index forms, the only source of 1/2) or the half-log ratio is a
-    power of two (the remainder is then exactly 0); otherwise it is the IEEE
-    float of the display evaluation, kept strictly inside (0, 1/2) or
-    (1/2, 1), the side the exact value lies on, so `is_integer` and a
-    comparison with 1/2 are exact either way.
+    `remainder` is a `Fraction` whenever the expression is rational: always
+    for the row-index forms, and for a half-log only when its ratio is a
+    power of two. The half-log of any other positive rational is irrational,
+    so it has no exact remainder and `remainder` is None; `is_integer` is
+    exact either way.
     """
 
     value: int
-    remainder: Fraction | float
+    remainder: Fraction | None
 
     @property
     def is_integer(self) -> bool:
@@ -74,10 +73,7 @@ def power_relation_integer(n2_i: int, x_i: int, n2_j: int) -> int | None:
     _require_odd(n2_i, "n2_i")
     _require_odd(n2_j, "n2_j")
     _require_positive_int(x_i, "x_i")
-    r = Fraction(n2_i, n2_j)
-    if r.numerator & (r.numerator - 1) or r.denominator & (r.denominator - 1):
-        return None
-    return x_i + (r.numerator.bit_length() - 1) - (r.denominator.bit_length() - 1)
+    return x_i if n2_i == n2_j else None
 
 
 def i_opow_max(p_n: int) -> int:
@@ -158,31 +154,15 @@ def totals(k_n: int) -> TotalsReport:
 
 def _floor_remainder_half_log(num: int, den: int, plus_half: bool) -> FloorRemainder:
     # floor of log2(num/den)/2 (+ 1/2 when asked), with the exact floor from
-    # integer comparisons and the remainder exact iff num/den = 2^m
+    # integer comparisons; the remainder is rational only when num/den = 2^e,
+    # and then it is 0 or 1/2. Only 0 occurs here: mod 3, num = 6p-2 is 1,
+    # den is 2 (6i-1) or 1 (6i+1) and 2^e is 2 for odd e, 1 for even e, so
+    # e is odd in kj_odd and even in kj_even
     e = _floor_log2_ratio(num, den)
-    value = (e + 1) // 2 if plus_half else e // 2
-    # remainder = half-log of q where q = num / (den * 2^m), m the subtracted
-    # integer exponent; q lands in [1, 4) and only q = 1 is exact. q = 2
-    # never occurs: mod 3, num = 6p-2 is 1, den is 2 (6i-1) or 1 (6i+1) and
-    # 2^t is 2 for odd t, 1 for even t, so num/den = 2^t needs t odd in
-    # kj_odd and t even in kj_even, and both subtract m = t
-    m = 2 * value - 1 if plus_half else 2 * value
-    if m >= 0:
-        qn, qd = num, den << m
-    else:
-        qn, qd = num << -m, den
-    if qn == qd:
-        remainder: Fraction | float = Fraction(0)
-    else:
-        # q within about 1e-16 of 1, 2 or 4 rounds to 0.0, 0.5 or 1.0; q is
-        # none of them, so step back inside the open interval on q's side of 2
-        remainder = 0.5 * (math.log2(qn) - math.log2(qd))
-        if qn < 2 * qd:
-            lo, hi = math.nextafter(0.0, 1.0), math.nextafter(0.5, 0.0)
-        else:
-            lo, hi = math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0)
-        remainder = min(max(remainder, lo), hi)
-    return FloorRemainder(value=value, remainder=remainder)
+    remainder = None
+    if num << max(-e, 0) == den << max(e, 0):
+        remainder = Fraction((e + plus_half) % 2, 2)
+    return FloorRemainder(value=(e + plus_half) // 2, remainder=remainder)
 
 
 def kj_odd(p_n: int, i_opow: int) -> FloorRemainder:
@@ -211,9 +191,9 @@ def i_opow_floor(p_n: int, f: int) -> FloorRemainder:
     floor(((6p-2)/2^(2f-1) + 1) / 6), remainder exact."""
     _require_positive_int(p_n, "p_n", minimum=2)
     _require_positive_int(f, "f")
-    expr = (Fraction(6 * p_n - 2, 2 ** (2 * f - 1)) + 1) / 6
-    value = math.floor(expr)
-    return FloorRemainder(value=value, remainder=expr - value)
+    den = 6 << (2 * f - 1)
+    value, r = divmod(6 * p_n - 2 + (1 << (2 * f - 1)), den)
+    return FloorRemainder(value=value, remainder=Fraction(r, den))
 
 
 def i_epow_floor(p_n: int, f: int) -> FloorRemainder:
@@ -221,6 +201,6 @@ def i_epow_floor(p_n: int, f: int) -> FloorRemainder:
     floor(((6p-2)/4^f - 1) / 6), remainder exact."""
     _require_positive_int(p_n, "p_n", minimum=2)
     _require_positive_int(f, "f")
-    expr = (Fraction(6 * p_n - 2, 4**f) - 1) / 6
-    value = math.floor(expr)
-    return FloorRemainder(value=value, remainder=expr - value)
+    den = 6 << (2 * f)
+    value, r = divmod(6 * p_n - 2 - (1 << (2 * f)), den)
+    return FloorRemainder(value=value, remainder=Fraction(r, den))

@@ -66,6 +66,23 @@ def chain_caps(n: int, max_odd_steps: int = 10_000) -> tuple[int, int]:
     raise AssertionError(f"chain did not reach 1 within {max_odd_steps} odd steps")
 
 
+def row(n2: int, bound: int):
+    """The records (n2, x, n1) of row n2 with n1 = (2^x * n2 - 1)/3 <= bound,
+    ascending in x: every x whose 2^x * n2 is 1 mod 3."""
+    x = 1
+    while (n2 << x) <= 3 * bound + 1:
+        if (n2 << x) % 3 == 1:
+            yield n2, x, ((n2 << x) - 1) // 3
+        x += 1
+
+
+def records(bound: int):
+    """Every record (n2, x, n1) with n1 <= bound, self pair (1, 2, 1)
+    included, row by row: n1 <= bound needs n2 <= 3 * bound + 1."""
+    for n2 in range(1, 3 * bound + 2, 2):
+        yield from row(n2, bound)
+
+
 @functools.cache
 def chain_caps_below(bound: int) -> dict[int, tuple[int, int]]:
     """chain_caps of every odd n <= bound."""

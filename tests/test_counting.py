@@ -1,6 +1,5 @@
 """Counting machinery: floors, geometric lemmas, totals, half-log floors."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -20,7 +19,14 @@ from collatzkit import (
 )
 from collatzkit.counting import i_epow_floor, i_opow_floor
 
+from literal import row
 from summation import totals_by_summation
+
+
+def record_count(kj, p, i):
+    # the literal count of the records of kj's row, 6i-1 for kj_odd and 6i+1
+    # for kj_even, with n1 <= 2p - 1
+    return sum(1 for _ in row(6 * i - 1 if kj is kj_odd else 6 * i + 1, 2 * p - 1))
 
 
 def i_opow_max_casewise(p_n):
@@ -241,9 +247,9 @@ def test_kj_odd_integer_iff_ratio_odd_power_of_two():
 
 
 def test_kj_even_examples():
+    # ratio 58/13 lies in [4, 8): the floor is 1 and the half-log irrational
     got = kj_even(10, 2)
-    assert got.value == math.floor(0.5 * math.log2(58 / 13)) == 1
-    assert got.remainder != 0
+    assert (got.value, got.remainder) == (1, None)
     # ratio exactly 4: p=25, i=6 gives 148/37
     got = kj_even(25, 6)
     assert (got.value, got.remainder) == (1, 0)
@@ -262,10 +268,12 @@ def test_kj_even_integer_iff_ratio_power_of_four():
 
 
 def test_kj_remainders_in_unit_interval():
+    # a half-log remainder is exact, and then 0, only when the floor is hit;
+    # otherwise it is irrational and has no exact value
     for p in range(2, 100):
         for i in range(1, 30):
             for fr in (kj_odd(p, i), kj_even(p, i)):
-                assert 0 <= fr.remainder < 1
+                assert fr.remainder == (Fraction(0) if fr.is_integer else None)
 
 
 @pytest.mark.parametrize(
@@ -281,12 +289,12 @@ def test_kj_remainders_in_unit_interval():
     ],
 )
 def test_kj_remainder_near_a_power_of_two_stays_inexact(kj, p, i):
-    # the float half-log of q rounds to 0.0 or 1.0 here, though the ratio
+    # a float half-log of q would round to 0.0 or 1.0 here, though the ratio
     # is no power of two
     got = kj(p, i)
-    assert got.value == 1
-    assert 0 < got.remainder < 1
+    assert got.value == 1 == record_count(kj, p, i)
     assert not got.is_integer
+    assert got.remainder is None
 
 
 @pytest.mark.parametrize(
@@ -299,12 +307,16 @@ def test_kj_remainder_near_a_power_of_two_stays_inexact(kj, p, i):
     ],
 )
 def test_kj_remainder_near_two_stays_off_one_half(kj, p, i, above_half):
-    # the float half-log of q rounds to 0.5 here, the exact remainder that
-    # only a power-of-two ratio has
+    # a float half-log of q would round to 0.5 here, a remainder that only a
+    # power-of-two ratio can have
     got = kj(p, i)
-    assert isinstance(got.remainder, float)
-    assert got.remainder != Fraction(1, 2)
-    assert (got.remainder > 0.5) if above_half else (got.remainder < 0.5)
+    assert got.value == 1 == record_count(kj, p, i)
+    assert not got.is_integer
+    assert got.remainder is None
+    # the fractional part exceeds 1/2 exactly when the ratio exceeds 2^(2k)
+    # (kj_odd) or 2^(2k+1) (kj_even), k the floor
+    den, e = (6 * i - 1, 0) if kj is kj_odd else (6 * i + 1, 1)
+    assert (6 * p - 2 > den << (2 * got.value + e)) == above_half
 
 
 def test_kj_exact_remainders_are_zero():
@@ -320,15 +332,14 @@ def test_kj_exact_remainders_are_zero():
     assert exact > 100
 
 
-def test_kj_value_plus_remainder_matches_float_evaluation():
-    for p in range(2, 60):
-        for i in range(1, 20):
-            expected = 0.5 * math.log2((6 * p - 2) / (6 * i - 1)) + 0.5
-            fr = kj_odd(p, i)
-            assert fr.value + float(fr.remainder) == pytest.approx(expected, abs=1e-9)
-            expected = 0.5 * math.log2((6 * p - 2) / (6 * i + 1))
-            fr = kj_even(p, i)
-            assert fr.value + float(fr.remainder) == pytest.approx(expected, abs=1e-9)
+def test_kj_values_count_literal_records():
+    # k_j, floored at 0, is the number of records of row 6i-1 (kj_odd) or
+    # 6i+1 (kj_even) with n1 <= N = 2p - 1: the odd or even x >= 1 with
+    # 2^x <= (6p-2)/(6i-1) or (6p-2)/(6i+1)
+    for p in range(2, 300):
+        for i in range(1, 200):
+            for kj in (kj_odd, kj_even):
+                assert max(0, kj(p, i).value) == record_count(kj, p, i), (kj, p, i)
 
 
 def test_half_remainder_claim_special_family():

@@ -20,7 +20,7 @@ from collatzkit import (
     uniqueness_check,
 )
 
-from literal import chain_caps, chain_caps_below, literal_bfs
+from literal import chain_caps, chain_caps_below, literal_bfs, records
 from paper_tables import CAP_1E6_GAPS, TABLE1, TABLE1_GREY, TABLE2, TABLE2_GREY
 
 
@@ -152,20 +152,8 @@ def test_uniqueness_small_and_trivial():
 
 @pytest.mark.parametrize("bound", [1, 3, 7, 17, 100, 101, 1003])
 def test_uniqueness_counts_records(bound):
-    # every record (n2, x) -> n1 <= bound, self pair excluded; n1 <= bound
-    # needs 2^x <= 3*bound + 1
-    report = uniqueness_check(bound)
-    brute = set()
-    for n2 in range(1, 3 * bound + 2, 2):
-        if n2 % 3 == 0:
-            continue
-        for x in range(1, (3 * bound + 1).bit_length() + 1):
-            if (pow(2, x, 3) * n2) % 3 != 1 or (n2, x) == (1, 2):
-                continue
-            n1 = (2**x * n2 - 1) // 3
-            if n1 <= bound:
-                brute.add((n2, x, n1))
-    assert report.records_checked == len(brute)
+    # every record (n2, x) -> n1 <= bound, less the self pair (1, 2) -> 1
+    assert uniqueness_check(bound).records_checked == sum(1 for _ in records(bound)) - 1
 
 
 def test_record_counter_matches_the_row_walk():

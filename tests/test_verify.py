@@ -31,7 +31,7 @@ from collatzkit.verify import (
     reproduce_assumption_table,
 )
 
-from literal import chain_caps_below, descent_steps, oracle_sweep
+from literal import chain_caps_below, descent_steps, oracle_sweep, records
 from paper_tables import TABLE3_ROWS
 
 
@@ -394,33 +394,12 @@ def test_cross_check_totals_deep():
 
 
 def test_cross_check_breakdown_matches_record_enumeration():
-    # recount by building the actual records
-    from collatzkit import predecessor_of
-
+    # recount by enumerating the records literally, self pair in the root row
     entry = next(e for e in cross_check_totals(4) if e.totals.k_n == 4)
-    n = entry.totals.n
-    root = opow = epow = 0
-    for n2 in range(1, 3 * n + 2, 2):
-        if n2 % 3 == 0:
-            continue
-        x = 2 if n2 % 3 == 1 else 1
-        while True:
-            rec = predecessor_of(n2, x)
-            assert rec is not None
-            if rec.n1 > n:
-                break
-            if n2 == 1:
-                root += 1
-            elif n2 % 6 == 5:
-                opow += 1
-            else:
-                epow += 1
-            x += 2
-    assert (root, opow, epow) == (
-        entry.root_row_count,
-        entry.opow_count,
-        entry.epow_count,
-    )
+    buckets = [0, 0, 0]
+    for n2, _, _ in records(entry.totals.n):
+        buckets[0 if n2 == 1 else 1 if n2 % 6 == 5 else 2] += 1
+    assert tuple(buckets) == (entry.root_row_count, entry.opow_count, entry.epow_count)
 
 
 def test_forward_inverse_agreement_small_bounds():
