@@ -12,8 +12,8 @@ n = 2^j*a + r has T^j(n) = 3^c*a + v, where c counts the odd ones among
 them and v = T^j(r), after j + c single steps. Once 3^c < 2^j, every
 start of the class with a large enough descends at exactly that step
 count and is never walked. A start whose class still climbs at depth k
-jumps straight to T^k(n) and is walked on from there, one kernel call per
-class: the next start's T^k is 3^c more.
+jumps straight to T^k(n) and is walked on from there, the next start's
+T^k 3^c more, in one kernel call for all the classes of a block.
 
 The walk itself moves K = WINDOW_BITS steps of T at a time where it can
 (Oliveira e Silva 2010). The same expansion gives, for each residue
@@ -21,11 +21,11 @@ b = w mod 2^K, T^K(2^K*a + b) = 3^c*a + d after K + c single steps, and
 the least ratio 3^(c_i)/2^i over its first i <= K steps, where c_i counts
 the odd values among the first i. Since T(m) >= m/2, with (3m+1)/2 > 3m/2
 for odd m, every T^i(w) is at least 3^(c_i)*w/2^i. So when w times that
-least ratio exceeds n, every value in the window, and each 3m+1 between,
-is above n: the window cannot hold the drop below n or a return to n, so
-it is taken whole, and a step budget that runs out inside it runs out
-before either. Otherwise the walk takes one odd step and its halving run,
-and finds those exactly.
+least ratio, num/2^K, exceeds n (w*num > n*2^K, in integers), every value
+in the window, and each 3m+1 between, is above n: the window cannot hold
+the drop below n or a return to n, so it is taken whole, and a step
+budget that runs out inside it runs out before either. Otherwise the walk
+takes one odd step and its halving run, and finds those exactly.
 
 The paper's predecessor rows n1 = (2^x*n2 - 1)/3 sieve the surviving
 starts once more. An odd n = 6j + 5 is the odd successor of its ancestor
@@ -61,21 +61,23 @@ import functools
 import os
 import time
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import DEFAULT_MAX_STEPS, Trajectory, _pool, _require_odd, _require_positive_int, step
 from .counting import totals, TotalsReport
 from .inverse import _count_records_by_class
 from .ranges import range_step
 
-# Deeper tables sieve more starts but cost more per block to scan; 2^16
-# leaves 2114 of its 32768 odd classes to walk, in tables of about 0.1 MB.
-SIEVE_MAX_DEPTH = 16
-# The walk's window, in steps of T. For the 322,569 starts walked below 1e7
-# at depth 16, _walk_class took 0.23, 0.22, 0.21, 0.22 and 0.24 s with a
-# window of 4, 5, 6, 7 and 8 bits, against 0.34 s without one (2 cores,
-# Python 3.11.7; one interleaved set, medians of 5).
+# Deeper tables sieve more starts but cost more to build and scan. Depths
+# 23 and 24 still sped up verify_forward(1e9), but _ancestors then holds
+# 90 and 172 MB, against 46 MB at 22 (2 cores, Python 3.11.7).
+SIEVE_MAX_DEPTH = 22
+# The walk's window, in steps of T. For the 179,210 starts walked below 1e7
+# at depth 16, _walk_class took 0.122, 0.118, 0.117, 0.117 and 0.126 s with
+# a window of 4, 5, 6, 7 and 8 bits, against 0.231 s without one (2 cores,
+# Python 3.11.7; medians of 5, interleaved).
 WINDOW_BITS = 6
 # Bit i is set for the residues i = n mod 9 of the odd starts n that have a
 # smaller ancestor on a predecessor row (see the module docstring).
@@ -83,52 +85,55 @@ _HAS_ANCESTOR = sum(1 << i for i in (2, 4, 5, 8))
 
 
 def _walk_class(
-    starts: range, w: int, c3: int, used: int, max_steps: int, skip: int = _HAS_ANCESTOR
+    classes: Iterable[tuple[range, int, int, int]], max_steps: int, skip: int = _HAS_ANCESTOR
 ) -> tuple[int, list[tuple[int, str]], int]:
     """_sweep_block's (descended, failures, largest descent count) for the
-    starts of one surviving class, each walked on until its chain drops
-    below the start or comes back to it (the start is then the minimum of a
-    cycle). The first start's chain reaches w after `used` single steps,
-    and each next start's c3 more. A start whose residue mod 9 is set in
-    `skip` is counted as descended without a walk: its ancestor settles
-    it, and _merge walks it after all if that ancestor fails."""
+    starts of surviving classes (starts, w, c3, used), each walked on until
+    its chain drops below the start or comes back to it (the start is then
+    the minimum of a cycle). A class's first start's chain reaches w after
+    `used` single steps, and each next start's c3 more. A start whose
+    residue mod 9 is set in `skip` is counted as descended without a walk:
+    its ancestor settles it, and _merge walks it after all if that
+    ancestor fails."""
     window, k, mask = _WINDOW, WINDOW_BITS, (1 << WINDOW_BITS) - 1
     descended = top = 0
     failures: list[tuple[int, str]] = []
-    for n in starts:
-        x, u = w, used
-        w += c3
-        if skip >> n % 9 & 1:
-            descended += 1
-            continue
-        while u <= max_steps:
-            # a whole window of k steps of T, when every value in it is above n
-            num, shift, c3k, d, steps = window[x & mask]
-            if x * num > n << shift:
-                x = c3k * (x >> k) + d
-                u += steps
+    for starts, w, c3, used in classes:
+        for n in starts:
+            x, u = w, used
+            w += c3
+            if skip >> n % 9 & 1:
+                descended += 1
                 continue
-            t = (x & -x).bit_length() - 1
-            s = x >> t
-            if s > n:
-                u += t + 1  # the halving run, then the odd step from s
-                x = 3 * s + 1
-            elif s == n:
-                u += t
-                if u <= max_steps:
-                    failures.append((n, "cycle"))
-                    break
+            nk = n << k
+            while u <= max_steps:
+                # a whole window of k steps of T, when every value in it is above n
+                num, c3k, d, steps = window[x & mask]
+                if x * num > nk:
+                    x = c3k * (x >> k) + d
+                    u += steps
+                    continue
+                t = (x & -x).bit_length() - 1
+                s = x >> t
+                if s > n:
+                    u += t + 1  # the halving run, then the odd step from s
+                    x = 3 * s + 1
+                elif s == n:
+                    u += t
+                    if u <= max_steps:
+                        failures.append((n, "cycle"))
+                        break
+                else:
+                    # the drop happens inside this halving run; find its exact spot
+                    e = x.bit_length() - n.bit_length()
+                    u += e if n << e > x else e + 1
+                    if u <= max_steps:
+                        descended += 1
+                        if u > top:
+                            top = u
+                        break
             else:
-                # the drop happens inside this halving run; find its exact spot
-                e = x.bit_length() - n.bit_length()
-                u += e if n << e > x else e + 1
-                if u <= max_steps:
-                    descended += 1
-                    if u > top:
-                        top = u
-                    break
-        else:
-            failures.append((n, "maxStepsExceeded"))
+                failures.append((n, "maxStepsExceeded"))
     return descended, failures, top
 
 
@@ -182,11 +187,12 @@ def _children(j: int, r: int, c3: int, v: int, steps: int) -> Iterator[tuple[int
             yield j + 1, r2, c3, u >> 1, steps + 1
 
 
-def _window_table(k: int) -> tuple[tuple[int, int, int, int, int], ...]:
-    """For each residue b mod 2^k, the row (p, s, 3^c, d, steps) with
+def _window_table(k: int) -> tuple[tuple[int, int, int, int], ...]:
+    """For each residue b mod 2^k, the row (num, 3^c, d, steps) with
     T^k(2^k*a + b) = 3^c*a + d after `steps` = k + c single steps, and
-    p/2^s = 3^(c_i)/2^i the least over i <= k, where c_i counts the odd
-    values among the first i steps: every T^i(w) is at least w*p/2^s."""
+    num/2^k = p/2^s = 3^(c_i)/2^i the least over i <= k, where c_i counts
+    the odd values among the first i steps: every T^i(w) is at least
+    w*num/2^k, so w*num > n << k holds exactly when w*p > n << s."""
     rows = [None] * (1 << k)
     # j = 0: T^0(a) = a, and the least ratio so far is 3^0/2^0
     stack = [((0, 0, 1, 0, 0), 1, 0)]
@@ -196,7 +202,7 @@ def _window_table(k: int) -> tuple[tuple[int, int, int, int, int], ...]:
         if c3 << s < p << j:
             p, s = c3, j
         if j == k:
-            rows[r] = (p, s, c3, v, steps)
+            rows[r] = (p << (k - s), c3, v, steps)
         else:
             stack.extend((child, p, s) for child in _children(*node))
     return tuple(rows)
@@ -212,8 +218,10 @@ def _append(columns: tuple[array, ...], *row: int) -> None:
 
 
 def _sieve_depth(bound: int) -> int:
-    # a table much wider than the range costs more to scan than it sieves
-    return max(1, min(SIEVE_MAX_DEPTH, bound.bit_length() - 2))
+    # a table much wider than the range costs more to scan than it sieves;
+    # from 2^24 on, the deepest that leaves each class 64 starts or more
+    bits = bound.bit_length()
+    return min(SIEVE_MAX_DEPTH, bits - 7) if bits > 24 else max(1, min(16, bits - 2))
 
 
 def _sweep_block(lo: int, hi: int, max_steps: int, depth: int) -> tuple[int, list[tuple[int, str]], int]:
@@ -234,28 +242,22 @@ def _sweep_block(lo: int, hi: int, max_steps: int, depth: int) -> tuple[int, lis
         # every chain ends at 1, so by convention it settles at 0 steps
         verified, lo = 1, 3
     for mod, r, steps in zip(*exits):
-        a_lo, a_hi = _first_a(lo, r, mod), _first_a(hi, r, mod)
-        if a_lo >= a_hi:
-            continue
-        if steps <= max_steps:
-            verified += a_hi - a_lo
+        starts = range(lo + (r - lo) % mod, hi, mod)  # the class's, in [lo, hi)
+        if steps > max_steps:
+            failures.extend((n, "maxStepsExceeded") for n in starts)
+        elif starts:
+            verified += len(starts)
             max_used = max(max_used, steps)
-        else:
-            failures.extend((n, "maxStepsExceeded") for n in range(a_lo * mod + r, hi, mod))
     mod = 1 << depth
-    for r, c3, v, steps in zip(*survivors):
-        a = _first_a(lo, r, mod)
-        descended, failed, most = _walk_class(range(a * mod + r, hi, mod), c3 * a + v, c3, steps, max_steps)
-        verified += descended
-        failures += failed
-        max_used = max(max_used, most)
-    failures.sort()
-    return verified, failures, max_used
-
-
-def _first_a(lo: int, r: int, mod: int) -> int:
-    # the smallest a >= 0 with mod*a + r >= lo, for 0 <= r < mod and lo >= 1
-    return -((r - lo) // mod)
+    # each class from its first start n >= lo, whose a is n >> depth
+    classes = (
+        (range(n := lo + (r - lo) % mod, hi, mod), c3 * (n >> depth) + v, c3, steps)
+        for r, c3, v, steps in zip(*survivors)
+    )
+    descended, failed, most = _walk_class(classes, max_steps)
+    failures += failed
+    failures.sort(key=itemgetter(0))
+    return verified + descended, failures, max(max_used, most)
 
 
 @dataclass(frozen=True)
@@ -334,20 +336,23 @@ def _merge(
     mod = 1 << depth
     rows = {r: row for r, *row in zip(*_sieve(depth)[1])}
     ancestors, big = _ancestors(depth), (mod << 3) - 1
-    failed = [m for m, _ in failures if m & big in ancestors]
     more: list[tuple[int, str]] = []
-    while failed:
-        for n in _heirs(failed.pop()):
-            if lo <= n < hi and n % mod in rows:
-                c3, v, steps = rows[n % mod]
-                _, lost, most = _walk_class(range(n, n + 1), c3 * (n >> depth) + v, c3, steps, max_steps, skip=0)
-                max_used = max(max_used, most)
-                if lost:
-                    more += lost
-                    failed.append(n)
-    if more:
-        failures += more
-        failures.sort()
+    lost = failures
+    # in waves, each walked in one call: the heirs of the failed starts,
+    # then those of the heirs that failed
+    while lost:
+        wave = []
+        for m, _ in lost:
+            if m & big in ancestors:
+                for n in _heirs(m):
+                    if lo <= n < hi and (row := rows.get(n % mod)):
+                        c3, v, steps = row
+                        wave.append((range(n, n + 1), c3 * (n >> depth) + v, c3, steps))
+        _, lost, most = _walk_class(wave, max_steps, skip=0)
+        max_used = max(max_used, most)
+        more += lost
+    failures += more
+    failures.sort(key=itemgetter(0))
     return verified - len(more), failures, max_used
 
 

@@ -24,6 +24,7 @@ from collatzkit.verify import (
     _heirs,
     _merge,
     _sieve,
+    _sieve_depth,
     _sweep_block,
     _walk_class,
     assumption_bold_values,
@@ -31,8 +32,11 @@ from collatzkit.verify import (
     reproduce_assumption_table,
 )
 
-from literal import chain_caps_below, descent_steps, oracle_sweep, records
+from literal import T, chain_caps_below, descent_steps, oracle_sweep, records
 from paper_tables import TABLE3_ROWS
+
+# the depth _sieve_depth gives every bound from 2^17 up to 2^24
+DEPTH = 16
 
 
 def test_descent_steps_budget():
@@ -92,7 +96,7 @@ def test_fallback_sees_a_failed_ancestor_in_an_earlier_block(max_steps):
     # first: only a fallback after the merge can walk them
     blocks = [(1, 333_333), (333_333, 1_000_001)]
     expected = oracle_sweep(1, 1_000_001, max_steps)
-    assert settled(blocks, max_steps, SIEVE_MAX_DEPTH) == expected
+    assert settled(blocks, max_steps, DEPTH) == expected
     failed = {n for n, _ in expected[1]}
     assert any(m < 333_333 <= n for m in failed for n in _heirs(m) if n in failed)
 
@@ -101,23 +105,29 @@ def test_fallback_walks_down_a_line_of_failed_heirs():
     # at 100 steps 703 fails (it needs 132), and so do its heir 1055 and
     # that one's heir 1583; 7527 fails, and so do its heir 11291 and that
     # one's heir 12703, through rows x = 2 and x = 1. Each heir lies in a
-    # class that survives depth 16 and was skipped, so each is walked only
-    # because the start before it failed
+    # class that survives and was skipped, so each is walked only because
+    # the start before it failed: the second heir of each line, only in
+    # _merge's second wave. In 16 blocks a line spans two or three
     lines = [(703, 1055, 1583), (7527, 11291, 12703)]
     for m, heir, next_heir in lines:
         assert heir in _heirs(m) and next_heir in _heirs(heir)
     assert (3 * 11291 + 1) // 2 != 12703 == (9 * 11291 + 5) // 8
-    survivors = set(_sieve(SIEVE_MAX_DEPTH)[1][0])
-    assert all(n % (1 << SIEVE_MAX_DEPTH) in survivors for line in lines for n in line[1:])
-    block_failures = {n for n, _ in _sweep_block(1, 20_001, 100, SIEVE_MAX_DEPTH)[1]}
-    assert {line[0] for line in lines} <= block_failures
-    assert not block_failures & {n for line in lines for n in line[1:]}
     expected = oracle_sweep(1, 20_001, 100)
     assert {n for line in lines for n in line} <= {n for n, _ in expected[1]}
-    assert settled([(1, 20_001)], 100, SIEVE_MAX_DEPTH) == expected
+    for depth in (_sieve_depth(20_000), DEPTH):
+        survivors = set(_sieve(depth)[1][0])
+        assert all(n % (1 << depth) in survivors for line in lines for n in line[1:])
+        for shards in (1, 3, 16):
+            blocks = _block_bounds(20_000, shards)
+            block_failures = {n for b in blocks for n, _ in _sweep_block(*b, 100, depth)[1]}
+            assert {line[0] for line in lines} <= block_failures
+            assert not block_failures & {n for line in lines for n in line[1:]}
+            assert settled(blocks, 100, depth) == expected, (depth, shards)
+    home = [i for line in lines for n in line for i, (lo, hi) in enumerate(_block_bounds(20_000, 16)) if lo <= n < hi]
+    assert home == [0, 0, 1, 6, 9, 10]
 
 
-@pytest.mark.parametrize("depth", [1, 2, 5, 8, 11, SIEVE_MAX_DEPTH])
+@pytest.mark.parametrize("depth", [1, 2, 5, 8, 11, DEPTH])
 def test_ancestor_table_holds_exactly_the_starts_with_an_heir_to_walk(depth):
     # every odd m over two periods of the table, against _heirs and the
     # surviving classes themselves
@@ -132,11 +142,11 @@ def test_sieved_block_matches_oracle_at_every_depth(max_steps):
     # at 86 steps the largest count below 20,001 is held only by 6395, 13775
     # and 14495, each skipped for an ancestor that fails and walked after
     expected = oracle_sweep(1, 20_001, max_steps)
-    for depth in range(1, SIEVE_MAX_DEPTH + 1):
+    for depth in range(1, DEPTH + 1):
         assert settled([(1, 20_001)], max_steps, depth) == expected, depth
     # a block that starts past 1 and ends off any class boundary
     expected = oracle_sweep(first_ancestor(20_003), 31_337, max_steps)
-    for depth in (5, 12, SIEVE_MAX_DEPTH):
+    for depth in (5, 12, DEPTH):
         assert settled([(20_003, 31_337)], max_steps, depth) == expected
 
 
@@ -144,13 +154,13 @@ def test_sweep_block_mixes_outcomes_inside_one_class():
     # 8 starts of every class that survives depth 16; their descent counts
     # run from 29 to 365, so at each budget some class has starts that
     # descend and starts that run out
-    mod = 1 << SIEVE_MAX_DEPTH
+    mod = 1 << DEPTH
     lo, hi = 10**6 + 1, 10**6 + 1 + 8 * mod
     for max_steps in (40, 100, 300):
         expected = oracle_sweep(first_ancestor(lo), hi, max_steps)
-        assert settled([(lo, hi)], max_steps, SIEVE_MAX_DEPTH) == expected, max_steps
+        assert settled([(lo, hi)], max_steps, DEPTH) == expected, max_steps
         failed = {n for n, _ in expected[1]}
-        classes = [range(lo + (r - lo) % mod, hi, mod) for r in _sieve(SIEVE_MAX_DEPTH)[1][0]]
+        classes = [range(lo + (r - lo) % mod, hi, mod) for r in _sieve(DEPTH)[1][0]]
         assert any(0 < sum(n in failed for n in starts) < len(starts) for starts in classes), max_steps
 
 
@@ -159,7 +169,7 @@ def test_sieve_thresholds_are_exact():
     # 1 mod 4 fails to descend from its residue on
     for depth in range(1, SIEVE_MAX_DEPTH + 1):
         _sieve(depth)
-    exits, survivors = (list(zip(*table)) for table in _sieve(SIEVE_MAX_DEPTH))
+    exits, survivors = (list(zip(*table)) for table in _sieve(DEPTH))
     assert len(survivors) == 2114  # of the 2^15 odd classes mod 2^16
     # only the class of 1 mod 4 holds a start below 3, the start 1 that
     # the sweep settles by convention
@@ -174,15 +184,71 @@ def test_sieve_thresholds_are_exact():
     steps = next(s for _, r, s in exits if r == top)
     lo, hi = top - 4000, top + 2**17 + 1
     for max_steps in (steps - 1, steps, 100_000):
-        assert settled([(lo, hi)], max_steps, SIEVE_MAX_DEPTH) == oracle_sweep(first_ancestor(lo), hi, max_steps)
+        assert settled([(lo, hi)], max_steps, DEPTH) == oracle_sweep(first_ancestor(lo), hi, max_steps)
+
+
+def test_sieve_depth_is_unchanged_below_2_24_and_never_falls():
+    # the depth depends on the bit length alone, so the first and last
+    # bounds of each length cover every bound; every odd one below 2^16 too
+    bounds = sorted({b for j in range(41) for b in (2**j - 1, 2**j, 2**j + 1) if b >= 1} | set(range(1, 2**16, 2)))
+    for b in bounds:
+        if b < 2**24:
+            assert _sieve_depth(b) == max(1, min(16, b.bit_length() - 2)), b
+    depths = [_sieve_depth(b) for b in bounds]
+    assert depths == sorted(depths)
+    assert depths[-1] == SIEVE_MAX_DEPTH > _sieve_depth(2**24 - 1) == 16
+
+
+def test_deep_sieve_reports_match_depth_16_and_the_oracle():
+    # every depth the rule picks past 2^24, on [1, 1e6] split as _sweep
+    # splits it: 100 steps leave failures whose heirs _merge must walk.
+    # test_sieved_sweep_matches_oracle_to_1e6 checks depth 16 on the same
+    expected = oracle_sweep(1, 10**6 + 1, 100)
+    deep = sorted({_sieve_depth(2**j) for j in range(24, 41)})
+    assert deep[0] > DEPTH and deep[-1] == SIEVE_MAX_DEPTH
+    for depth in deep:
+        for blocks in (1, 3, 16):
+            assert settled(_block_bounds(10**6, blocks), 100, depth) == expected, (blocks, depth)
+        _ancestors.cache_clear()  # 46 MB at depth 22
+
+
+@pytest.mark.parametrize("depth", [18, 20, SIEVE_MAX_DEPTH])
+def test_deep_sieve_block_across_a_class_boundary(depth):
+    # the window holds each class's starts for a = 0 and a = 1; at the
+    # window's largest count, one step short of it and one past it
+    lo, hi = (1 << depth) - 3000, (1 << depth) + 3001
+    top = oracle_sweep(lo, hi, 10**4)[2]
+    for max_steps in (top - 1, top, top + 1):
+        expected = oracle_sweep(first_ancestor(lo), hi, max_steps)
+        assert settled([(lo, hi)], max_steps, depth) == expected, max_steps
+    _ancestors.cache_clear()
+
+
+def test_sieve_columns_hold_at_the_deepest_depth():
+    # the int64 columns hold every row: array("q") raises on an overflow,
+    # and T^k(r) < 3^k for r < 2^k bounds them all; the rows with the
+    # largest entries are recomputed by a literal walk
+    k = SIEVE_MAX_DEPTH
+    exits, survivors = _sieve(k)
+    assert {col.typecode for col in exits + survivors} == {"q"} and 3**k < 2**63
+    rows = list(zip(*survivors))
+    assert len(rows) == 93_222
+    for col in range(4):
+        r, c3, v, steps = max(rows, key=lambda row: row[col])
+        m, c = r, 0
+        for _ in range(k):
+            c += m % 2
+            m = T(m)
+        assert (c3, v, steps) == (3**c, m, k + c), r
+    assert max(exits[0]) <= 1 << k and max(exits[2]) <= 2 * k
 
 
 def walk_one(n, w, used, max_steps):
-    # the class kernel on the one start n, whose chain reaches w after
-    # `used` steps (c3 = 3 is never used for one start), walked even when
-    # an ancestor would settle it: the drop's step count, "cycle", or None
-    # past the budget
-    descended, failures, top = _walk_class(range(n, n + 1), w, 3, used, max_steps, skip=0)
+    # the kernel on one class that holds the one start n, whose chain
+    # reaches w after `used` steps (c3 = 3 is never used for one start),
+    # walked even when an ancestor would settle it: the drop's step count,
+    # "cycle", or None past the budget
+    descended, failures, top = _walk_class([(range(n, n + 1), w, 3, used)], max_steps, skip=0)
     if descended:
         assert (descended, failures) == (1, [])
         return top
@@ -201,10 +267,10 @@ def test_walk_class_finds_the_terminal_cycle():
 def test_walk_class_meets_the_budget_exactly_inside_a_window():
     # every start walked below 200,001 at depth 16, one step short of its
     # drop, at it and one past it, each from its surviving class's row
-    mod = 1 << SIEVE_MAX_DEPTH
+    mod = 1 << DEPTH
     walked = [
         (n, c3 * a + v, steps)
-        for r, c3, v, steps in zip(*_sieve(SIEVE_MAX_DEPTH)[1])
+        for r, c3, v, steps in zip(*_sieve(DEPTH)[1])
         for a, n in enumerate(range(r, 200_001, mod))
     ]
     assert len(walked) > 6000
