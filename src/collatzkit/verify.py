@@ -47,12 +47,14 @@ The skip is exact only when the ancestor descends. For every start m that
 fails (by budget, or as a cycle's minimum), its heirs (3m + 1)/2 for
 m = 3 mod 4 and (9m + 5)/8 for m = 11 mod 16, the starts it would have
 settled, are walked after all, and so on from each heir that fails in
-turn. A heir in a class the residue sieve settles was never skipped, so
-only those in surviving classes are walked. Whether an heir of m lands in
-a surviving class depends on m mod 2^(depth + 3) alone, so one lookup in a
-table of those residues dismisses every failure without one. This runs
-once, after the blocks are merged in order: a block's skipped start may
-have its ancestor in an earlier block, which that block cannot see.
+turn. An heir in a class the residue sieve settles was never skipped: it
+already failed, or descended at its class's count. So only heirs in
+surviving classes are walked: one byte per odd residue mod 2^depth, set
+from the sieve's surviving residues on each call, tells them apart. Each
+is walked from 3n + 1, its value after one odd step, so it needs no class
+row. This runs once, after the blocks are merged in order: a block's
+skipped start may have its ancestor in an earlier block, which that block
+cannot see.
 """
 
 from __future__ import annotations
@@ -70,9 +72,11 @@ from .counting import totals, TotalsReport
 from .inverse import _count_records_by_class
 from .ranges import range_step
 
-# Deeper tables sieve more starts but cost more to build and scan. Depths
-# 23 and 24 still sped up verify_forward(1e9), but _ancestors then holds
-# 90 and 172 MB, against 46 MB at 22 (2 cores, Python 3.11.7).
+# Deeper tables sieve more starts but cost more to build and scan. The
+# sieve took 0.121, 0.226 and 0.420 s to build at depths 22, 23 and 24, and
+# depths 23 and 24 ran verify_forward(1e9) in 5.16 and 4.73 s against
+# 5.30 s at 22 (2 cores, Python 3.11.7). A deeper cap needs CI to pin the
+# survivor counts of its new depths.
 SIEVE_MAX_DEPTH = 22
 # The walk's window, in steps of T. For the 179,210 starts walked below 1e7
 # at depth 16, _walk_class took 0.122, 0.118, 0.117, 0.117 and 0.126 s with
@@ -325,52 +329,37 @@ def _merge(
 
     The starts in [lo, hi) were swept by _sweep_block at `depth`, which
     counts a start with an ancestor as descended unwalked. Here each such
-    start whose ancestor failed is walked after all, and so on from each
-    one that fails in turn (see the module docstring).
+    start n whose ancestor failed, and whose odd residue mod 2^depth is
+    marked as a surviving class's, is walked after all from 3n + 1, and so
+    on from each one that fails in turn (see the module docstring).
     """
     verified = sum(r[0] for r in results)
     failures = [f for r in results for f in r[1]]
     max_used = max(r[2] for r in results)
     if not failures:
         return verified, failures, max_used
-    mod = 1 << depth
-    rows = {r: row for r, *row in zip(*_sieve(depth)[1])}
-    ancestors, big = _ancestors(depth), (mod << 3) - 1
+    # one byte per odd residue mod 2^depth, set for the surviving classes
+    mask = (1 << depth) - 1
+    alive = bytearray(1 << depth >> 1)
+    for r in _sieve(depth)[1][0]:
+        alive[r >> 1] = 1
     more: list[tuple[int, str]] = []
     lost = failures
     # in waves, each walked in one call: the heirs of the failed starts,
-    # then those of the heirs that failed
+    # then those of the heirs that failed, each from 3n + 1 after one step
     while lost:
-        wave = []
-        for m, _ in lost:
-            if m & big in ancestors:
-                for n in _heirs(m):
-                    if lo <= n < hi and (row := rows.get(n % mod)):
-                        c3, v, steps = row
-                        wave.append((range(n, n + 1), c3 * (n >> depth) + v, c3, steps))
+        wave = [
+            (range(n, n + 1), 3 * n + 1, 0, 1)
+            for m, _ in lost
+            for n in _heirs(m)
+            if lo <= n < hi and alive[(n & mask) >> 1]
+        ]
         _, lost, most = _walk_class(wave, max_steps, skip=0)
         max_used = max(max_used, most)
         more += lost
     failures += more
     failures.sort(key=itemgetter(0))
     return verified - len(more), failures, max_used
-
-
-@functools.cache
-def _ancestors(depth: int) -> frozenset[int]:
-    """The residues mod 2^(depth + 3) of the starts m that have an heir in
-    a class that survives the sieve at `depth`; no other failure has an
-    heir to walk. An heir (3m + 1)/2 = r mod 2^depth holds exactly when
-    m = (2r - 1)/3 mod 2^(depth + 1), and (9m + 5)/8 = r when
-    m = (8r - 5)/9 mod 2^(depth + 3); for odd r, each gives m = 3 mod 4 or
-    m = 11 mod 16 as _heirs asks."""
-    half, mod = 2 << depth, 8 << depth
-    third, ninth = pow(3, -1, half), pow(9, -1, mod)
-    out = set()
-    for r in _sieve(depth)[1][0]:
-        out.update(range((2 * r - 1) * third % half, mod, half))
-        out.add((8 * r - 5) * ninth % mod)
-    return frozenset(out)
 
 
 def _heirs(m: int) -> Iterator[int]:

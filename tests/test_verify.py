@@ -2,6 +2,7 @@
 
 import inspect
 import time
+import tracemalloc
 
 import pytest
 
@@ -19,7 +20,6 @@ from collatzkit.core import POOL_MIN_BOUND
 from collatzkit.verify import (
     SIEVE_MAX_DEPTH,
     WINDOW_BITS,
-    _ancestors,
     _block_bounds,
     _heirs,
     _merge,
@@ -127,14 +127,20 @@ def test_fallback_walks_down_a_line_of_failed_heirs():
     assert home == [0, 0, 1, 6, 9, 10]
 
 
-@pytest.mark.parametrize("depth", [1, 2, 5, 8, 11, DEPTH])
-def test_ancestor_table_holds_exactly_the_starts_with_an_heir_to_walk(depth):
-    # every odd m over two periods of the table, against _heirs and the
-    # surviving classes themselves
-    survivors, mod = set(_sieve(depth)[1][0]), 1 << depth
-    table, period = _ancestors(depth), 8 << depth
-    for m in range(1, 2 * period, 2):
-        assert (m % period in table) == any(n % mod in survivors for n in _heirs(m)), m
+def test_fallback_at_the_deepest_depth_keeps_no_table_beside_the_sieve():
+    # once the sieve is built, _merge marks one byte per odd residue mod
+    # 2^22, 2 MB, and walks each heir from 3n + 1: a table of ancestors
+    # or of survivor rows would take tens of MB more
+    depth, hi = SIEVE_MAX_DEPTH, 10**6 + 1
+    results = [_sweep_block(1, hi, 100, depth)]
+    tracemalloc.start()
+    try:
+        merged = _merge(results, 1, hi, 100, depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert merged == oracle_sweep(1, hi, 100)
 
 
 @pytest.mark.parametrize("max_steps", [1, 3, 6, 30, 50, 86, 100_000])
@@ -209,7 +215,6 @@ def test_deep_sieve_reports_match_depth_16_and_the_oracle():
     for depth in deep:
         for blocks in (1, 3, 16):
             assert settled(_block_bounds(10**6, blocks), 100, depth) == expected, (blocks, depth)
-        _ancestors.cache_clear()  # 46 MB at depth 22
 
 
 @pytest.mark.parametrize("depth", [18, 20, SIEVE_MAX_DEPTH])
@@ -221,7 +226,6 @@ def test_deep_sieve_block_across_a_class_boundary(depth):
     for max_steps in (top - 1, top, top + 1):
         expected = oracle_sweep(first_ancestor(lo), hi, max_steps)
         assert settled([(lo, hi)], max_steps, depth) == expected, max_steps
-    _ancestors.cache_clear()
 
 
 def test_sieve_columns_hold_at_the_deepest_depth():
