@@ -287,7 +287,7 @@ class VerifyReport:
         return {
             "bound": self.bound,
             "verified": self.verified,
-            "failures": [list(f) for f in self.failures],
+            "failures": self.failures,
             "max_steps_used": self.max_steps_used,
             "wall_time": round(self.wall_time, 3),
             "shards": self.shards,
@@ -346,29 +346,18 @@ def _merge(
     more: list[tuple[int, str]] = []
     lost = failures
     # in waves, each walked in one call: the heirs of the failed starts,
-    # then those of the heirs that failed, each from 3n + 1 after one step
+    # (3m + 1)/2 for m = 3 mod 4 and (9m + 5)/8 for m = 11 mod 16, then
+    # those of the heirs that failed, each from 3n + 1 after one step
     while lost:
-        wave = [
-            (range(n, n + 1), 3 * n + 1, 0, 1)
-            for m, _ in lost
-            for n in _heirs(m)
-            if lo <= n < hi and alive[(n & mask) >> 1]
-        ]
+        ms = [m for m, _ in lost if m & 3 == 3]
+        heirs = [(3 * m + 1) >> 1 for m in ms] + [(9 * m + 5) >> 3 for m in ms if m & 15 == 11]
+        wave = [(range(n, n + 1), 3 * n + 1, 0, 1) for n in heirs if lo <= n < hi and alive[(n & mask) >> 1]]
         _, lost, most = _walk_class(wave, max_steps, skip=0)
         max_used = max(max_used, most)
         more += lost
     failures += more
     failures.sort(key=itemgetter(0))
     return verified - len(more), failures, max_used
-
-
-def _heirs(m: int) -> Iterator[int]:
-    # the starts whose ancestor is m: its odd successor (3m + 1)/2 when
-    # m = 3 mod 4, and when m = 11 mod 16 also that one's, (9m + 5)/8
-    if m % 4 == 3:
-        yield (3 * m + 1) >> 1
-        if m % 16 == 11:
-            yield (9 * m + 5) >> 3
 
 
 def verify_forward(

@@ -46,6 +46,17 @@ def oracle_sweep(lo: int, hi: int, max_steps: int) -> tuple[int, list[tuple[int,
     return len(descended), failures, max(descended, default=0)
 
 
+def heirs(m: int) -> list[int]:
+    """The starts a sweep skips as settled by odd m, their ancestor: m's
+    odd successor q = (3m + 1)/2 (row x = 1) and, when q's successor
+    r = (3q + 1)/2 is even and r/2 is odd, r/2 (rows x = 2 and x = 1)."""
+    q = (3 * m + 1) // 2
+    if q % 2 == 0:
+        return []
+    r = (3 * q + 1) // 2
+    return [q, r // 2] if r % 2 == 0 and r // 2 % 2 else [q]
+
+
 def chain_caps(n: int, max_odd_steps: int = 10_000) -> tuple[int, int]:
     """Literal forward walk from odd n down to 1.
 

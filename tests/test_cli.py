@@ -1,5 +1,6 @@
 """Command line behavior: output formats, exit codes, stability."""
 
+import io
 import itertools
 import json
 import re
@@ -360,10 +361,13 @@ _SUBCOMMANDS = [
     ["cross-check", "--kmax", "4"],
     ["uniqueness", "--bound", "101"],
 ]
-REPLAY = (
+_OUTPUTS = (
     list(_SUBCOMMANDS)
     + [argv + ["--format", "json"] for argv in _SUBCOMMANDS]
     + [["tables", "--class", "odd", "--rows", "3", "--cols", "4", "--format", "csv"]]
+)
+REPLAY = (
+    _OUTPUTS
     + [
         ["tables", "--class", "grey", "--rows", "1", "--cols", "1"],
         ["seq"],
@@ -391,3 +395,46 @@ def test_shared_parser_carries_no_state(capsys, monkeypatch):
     fresh = [_call(capsys, argv) for argv in REPLAY]
     assert {code for code, _, _ in fresh} == {0, 1, 2, "SystemExit(2)", "SystemExit(0)"}
     assert shared == fresh + fresh
+
+
+class _CountingStdout(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", _OUTPUTS)
+def test_each_command_writes_stdout_once(monkeypatch, argv):
+    # main writes a command's whole output in one call, once all of it is
+    # formatted, so a write that fails leaves no partial output behind
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    main(list(argv))
+    assert stdout.writes == 1
+    assert stdout.getvalue().endswith("\n")
+
+
+_REQUIRED = {
+    "seq": "--start",
+    "tables": "--class, --rows, --cols",
+    "totals": "--kmax",
+    "range-iter": "--start, --iters",
+    "verify-forward": "--bound",
+    "verify-inverse": "--bound, --value-cap, --x-max",
+    "cycle-scan": "--bound",
+    "assumption-table": "--start",
+    "cross-check": "--kmax",
+    "uniqueness": "--bound",
+}
+
+
+@pytest.mark.parametrize("command", _REQUIRED)
+def test_a_subcommand_without_its_required_flags_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main([command])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: the following arguments are required: {_REQUIRED[command]}\n")

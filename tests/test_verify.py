@@ -1,6 +1,7 @@
 """Brute-force harness: sweeps, cycle scan, table reproduction, cross-checks."""
 
 import inspect
+import json
 import time
 import tracemalloc
 
@@ -21,7 +22,6 @@ from collatzkit.verify import (
     SIEVE_MAX_DEPTH,
     WINDOW_BITS,
     _block_bounds,
-    _heirs,
     _merge,
     _sieve,
     _sieve_depth,
@@ -32,7 +32,7 @@ from collatzkit.verify import (
     reproduce_assumption_table,
 )
 
-from literal import T, chain_caps_below, descent_steps, oracle_sweep, records
+from literal import T, chain_caps_below, descent_steps, heirs, oracle_sweep, records
 from paper_tables import TABLE3_ROWS
 
 # the depth _sieve_depth gives every bound from 2^17 up to 2^24
@@ -98,7 +98,7 @@ def test_fallback_sees_a_failed_ancestor_in_an_earlier_block(max_steps):
     expected = oracle_sweep(1, 1_000_001, max_steps)
     assert settled(blocks, max_steps, DEPTH) == expected
     failed = {n for n, _ in expected[1]}
-    assert any(m < 333_333 <= n for m in failed for n in _heirs(m) if n in failed)
+    assert any(m < 333_333 <= n for m in failed for n in heirs(m) if n in failed)
 
 
 def test_fallback_walks_down_a_line_of_failed_heirs():
@@ -110,7 +110,7 @@ def test_fallback_walks_down_a_line_of_failed_heirs():
     # _merge's second wave. In 16 blocks a line spans two or three
     lines = [(703, 1055, 1583), (7527, 11291, 12703)]
     for m, heir, next_heir in lines:
-        assert heir in _heirs(m) and next_heir in _heirs(heir)
+        assert heir in heirs(m) and next_heir in heirs(heir)
     assert (3 * 11291 + 1) // 2 != 12703 == (9 * 11291 + 5) // 8
     expected = oracle_sweep(1, 20_001, 100)
     assert {n for line in lines for n in line} <= {n for n, _ in expected[1]}
@@ -360,6 +360,15 @@ def test_verify_forward_deterministic_across_shards():
             del r["wall_time"], r["shards"]
         assert all(r == reports[0] for r in reports[1:])
     assert reports[0]["verified"] == (bound + 1) // 2
+
+
+def test_report_dict_shares_the_failures_it_holds():
+    # json.dumps writes the tuples as it writes lists, so no copy is made,
+    # which at budget 1 would be one list per odd start
+    report = verify_forward(1001, 1, shards=1)
+    assert len(report.failures) == 500
+    assert report.to_dict()["failures"] is report.failures
+    assert json.loads(json.dumps(report.to_dict()))["failures"] == [list(f) for f in report.failures]
 
 
 def test_block_bounds_cover_all_odds():
