@@ -13,14 +13,15 @@ Each handler `_cmd_*` returns `(ok, lines)`: whether the run's checks
 passed, and its stdout lines, without their newlines. A handler writes
 only its notes, to stderr. `main` alone writes stdout, in one call once
 every line is formatted, so that a value too long to print leaves stdout
-empty rather than cut short; and `main` alone turns `ok` into the exit
-code.
+empty rather than cut short, and a stdout that takes only part of it
+raises; and `main` alone turns `ok` into the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -247,7 +248,20 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         ok, lines = args.func(args)
-        sys.stdout.write("".join(line + "\n" for line in lines))
+        text = "".join(line + "\n" for line in lines)
+        raw = getattr(sys.stdout, "buffer", None)
+        if isinstance(raw, io.RawIOBase):
+            # unbuffered (python -u, PYTHONUNBUFFERED): a raw write may take
+            # only part of the text, and TextIOWrapper.write drops the rest
+            # unsaid, so the bytes go to the raw file until it takes all or raises
+            data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+            while data:
+                taken = raw.write(data)
+                if not taken:
+                    raise BlockingIOError("stdout took no bytes")
+                data = data[taken:]
+        else:
+            sys.stdout.write(text)
         sys.stdout.flush()
         return 0 if ok else CHECK_FAILED
     except (ValueError, TypeError, OverflowError, OSError) as exc:

@@ -195,30 +195,25 @@ def table_to_csv(table: PredecessorTable) -> str:
 
 
 def _count_records_by_class(ns: list[int], part: int, parts: int) -> list[tuple[int, int, int]]:
-    # for each n of ns, the records with n1 <= n by row class: row n2=1
-    # (self pair included), rows 6i-1, rows 6i+1 (n2 > 1); the brute side
-    # of the totals check. Only the rows rows[part::parts] of each class
-    # are counted, so the parts 0..parts-1 of one n sum to its whole count.
-    return [
-        (
-            _count_rows(range(1, 2)[part::parts], 2, cap),
-            _count_rows(range(5, (cap >> 1) + 1, 6)[part::parts], 1, cap),
-            _count_rows(range(7, (cap >> 2) + 1, 6)[part::parts], 2, cap),
-        )
-        for cap in [3 * n + 1 for n in ns]
-    ]
-
-
-def _count_rows(rows: range, x: int, cap: int) -> int:
-    # The row walk of _records, written out: counting through _records
-    # measured about 3.5x slower for k = 2..12 (1.8-2.1 s vs 0.5 s).
-    count = 0
-    for n2 in rows:
-        m = n2 << x
-        while m <= cap:
+    # for each n of ns (ascending), the records with n1 <= n by row class:
+    # row n2=1 (self pair included), rows 6i-1, rows 6i+1 (n2 > 1); the
+    # brute side of the totals check, in one pass over the columns of the
+    # largest n. A column's n1 ascend, so its running count is taken as the
+    # walk passes each n. Only the records [part::parts] of each column are
+    # counted (the self pair in part 0), so the parts sum to the whole.
+    counts = [[0 if part else 1, 0, 0] for _ in ns]
+    for n2, x, sl in _columns(ns[-1]):
+        got, n, count = [], ns[0], 0
+        for v in range(2 * (sl.start + part * sl.step) + 1, ns[-1] + 1, 2 * sl.step * parts):
+            while v > n:
+                got.append(count)
+                n = ns[len(got)]
             count += 1
-            m <<= 2
-    return count
+        root = 1 if n2 == 1 and not part else 0  # an even column's first record from row 1
+        for c, g in zip(counts, got + [count] * (len(ns) - len(got))):
+            c[0] += min(g, root)
+            c[2 - (x & 1)] += g - min(g, root)
+    return [tuple(c) for c in counts]
 
 
 @dataclass(frozen=True)

@@ -538,8 +538,8 @@ class CrossCheckEntry:
 
 def cross_check_totals(k_max: int) -> tuple[CrossCheckEntry, ...]:
     """For k = 2..k_max, compare the closed-form totals with the brute odd
-    count and with a direct per-class enumeration of the records, in one
-    interleaved part of rows per worker of _pool (one per CPU from k_max 10)."""
+    count and with a literal per-class record count: one column pass serves
+    every k, in one part per worker of _pool (one per CPU from k_max 10)."""
     _require_positive_int(k_max, "k_max", minimum=2)
     reports = [totals(k) for k in range(2, k_max + 1)]
     ns = [rep.n for rep in reports]

@@ -95,6 +95,27 @@ def records(bound: int):
 
 
 @functools.cache
+def count_records_by_class(n: int) -> tuple[int, int, int]:
+    """The records with n1 <= n by row class, counted row by row: row
+    n2 = 1 (self pair included), rows 6i - 1 (odd x from 1), rows 6i + 1
+    with n2 > 1 (even x from 2). Along a row 2^x * n2 grows 4-fold per
+    record, and n1 <= n is 2^x * n2 <= 3n + 1."""
+    cap = 3 * n + 1
+    counts = [0, 0, 0]
+    for cls, rows, x in (
+        (0, range(1, 2), 2),
+        (1, range(5, (cap >> 1) + 1, 6), 1),
+        (2, range(7, (cap >> 2) + 1, 6), 2),
+    ):
+        for n2 in rows:
+            m = n2 << x
+            while m <= cap:
+                counts[cls] += 1
+                m <<= 2
+    return tuple(counts)
+
+
+@functools.cache
 def chain_caps_below(bound: int) -> dict[int, tuple[int, int]]:
     """chain_caps of every odd n <= bound."""
     return {n: chain_caps(n) for n in range(1, bound + 1, 2)}

@@ -303,6 +303,38 @@ def test_closed_stdout_is_usage_error():
     assert err == "error: [Errno 32] Broken pipe\n"
 
 
+class _ShortPipe(io.RawIOBase):
+    # a pipe whose reader takes at most 4 bytes per write and goes away
+    # once it holds `limit` bytes (None: never)
+    def __init__(self, limit):
+        self.limit, self.taken = limit, bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if self.limit is not None and len(self.taken) >= self.limit:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.taken += bytes(data[:4])
+        return min(len(data), 4)
+
+
+@pytest.mark.parametrize("limit", [None, 12])
+def test_unbuffered_stdout_is_written_whole_or_raises(capsys, monkeypatch, limit):
+    # under python -u or PYTHONUNBUFFERED=1, sys.stdout wraps a raw file,
+    # and TextIOWrapper.write drops what a short raw write leaves: the
+    # output must arrive whole, or the run must exit 2 with one error line
+    whole = run_cli(capsys, "seq", "--start", "27")[1].encode()
+    pipe = _ShortPipe(limit)
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(pipe, write_through=True))
+    code = main(["seq", "--start", "27"])
+    err = capsys.readouterr().err
+    if limit is None:
+        assert (code, err, bytes(pipe.taken)) == (0, "", whole)
+    else:
+        assert (code, err, bytes(pipe.taken)) == (2, "error: [Errno 32] Broken pipe\n", whole[:limit])
+
+
 def test_uniqueness_exits_one_when_a_record_column_is_missed(capsys, monkeypatch):
     # no collision shows, but the scan no longer sees one record per odd n1
     columns = inverse._columns

@@ -20,7 +20,7 @@ from collatzkit import (
     uniqueness_check,
 )
 
-from literal import chain_caps, chain_caps_below, literal_bfs, records
+from literal import chain_caps, chain_caps_below, count_records_by_class, literal_bfs, records
 from paper_tables import CAP_1E6_GAPS, TABLE1, TABLE1_GREY, TABLE2, TABLE2_GREY
 
 
@@ -168,6 +168,33 @@ def test_record_counter_matches_the_row_walk():
         for parts in (2, 3):
             counts = [inverse._count_records_by_class([n], part, parts)[0] for part in range(parts)]
             assert [sum(c) for c in zip(*counts)] == buckets, (n, parts)
+
+
+# the cross-check's bounds N_k = (4^k - 1)/3, k = 2..12
+CROSS_CHECK_NS = [(4**k - 1) // 3 for k in range(2, 13)]
+
+
+def _summed_parts(ns, parts):
+    by_part = [inverse._count_records_by_class(ns, part, parts) for part in range(parts)]
+    return [tuple(map(sum, zip(*c))) for c in zip(*by_part)]
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize(
+    "ns",
+    # 5461 = N_7 is the n1 of row 1's record at x = 14
+    [list(range(1, 400, 2)), CROSS_CHECK_NS, [1001], [5459, 5461, 5463]],
+    ids=["odd-below-400", "cross-check", "single", "adjacent"],
+)
+def test_record_counter_serves_every_n_of_one_call(ns, parts):
+    # one pass over the columns of the largest n counts every n of the call,
+    # and the parts of that pass sum to the literal row walk's counts
+    assert _summed_parts(ns, parts) == [count_records_by_class(n) for n in ns]
+
+
+def test_record_counts_at_the_cross_check_bounds():
+    pinned = [(10, 116_505, 58_248), (11, 466_030, 233_010), (12, 1_864_131, 932_060)]
+    assert [count_records_by_class(n) for n in CROSS_CHECK_NS[-3:]] == pinned
 
 
 def _column_records(bound):
