@@ -37,17 +37,15 @@ def _require_odd(n: int, name: str = "n", minimum: int = 1) -> None:
         raise ValueError(f"{name} must be odd, got {n}")
 
 
-# A job this size or larger (the sweep's bound, the cross-check's largest N,
-# the walk's value cap) runs on a pool, a smaller one in-process. With the
-# caller working as worker 0 beside one forked child, in-process against
-# pooled on 2 cores (Python 3.11.7, medians of 11): the sweep 4.0 / 4.5 ms
-# at bound 200,001, 4.6 / 4.6 ms at 250,001 and 5.9 / 5.2 ms at 350,001;
-# the walk of [1, 1e4] 8.5 / 9.5 ms at cap 250,001, 10.0 / 9.8 ms at
-# 300,001 and 11.5 / 10.9 ms at 350,001; the cross-check's column pass
-# 3.1 / 5.4 ms at k_max 9 (N = 87,381), 11.4 / 9.6 ms at 10 (N = 349,525)
-# and 165 / 88 ms at 12 (medians of 21 and 11). So the pool breaks even
-# near 300,000, where the threshold sits. It stays above the desk-scale
-# calls, whose largest size is a value cap of about 200,000.
+# A job this size or larger (the sweep's bound, the walk's value cap) runs
+# on a pool, a smaller one in-process. With the caller working as worker 0
+# beside one forked child, in-process against pooled on 2 cores (Python
+# 3.11.7, medians of 11): the sweep 4.0 / 4.5 ms at bound 200,001,
+# 4.6 / 4.6 ms at 250,001 and 5.9 / 5.2 ms at 350,001; the walk of
+# [1, 1e4] 8.5 / 9.5 ms at cap 250,001, 10.0 / 9.8 ms at 300,001 and
+# 11.5 / 10.9 ms at 350,001. So the pool breaks even near 300,000, where
+# the threshold sits. It stays above the desk-scale calls, whose largest
+# size is a value cap of about 200,000.
 POOL_MIN_BOUND = 300_000
 
 

@@ -538,17 +538,9 @@ class CrossCheckEntry:
 
 def cross_check_totals(k_max: int) -> tuple[CrossCheckEntry, ...]:
     """For k = 2..k_max, compare the closed-form totals with the brute odd
-    count and with a literal per-class record count: one column pass serves
-    every k, in one part per worker of _pool (one per CPU from k_max 10)."""
+    count and with a literal per-class record count: one in-process pass of
+    class-coded marks (inverse._count_records_by_class) serves every k."""
     _require_positive_int(k_max, "k_max", minimum=2)
     reports = [totals(k) for k in range(2, k_max + 1)]
-    ns = [rep.n for rep in reports]
-    with _pool(None, ns[-1]) as (parts, run):
-        counts = run(_count_records_by_class, [ns] * parts, range(parts), [parts] * parts)
-    entries = []
-    for rep, by_part in zip(reports, zip(*counts)):
-        root, opow, epow = map(sum, zip(*by_part))
-        entries.append(
-            CrossCheckEntry(totals=rep, root_row_count=root, opow_count=opow, epow_count=epow)
-        )
-    return tuple(entries)
+    counts = _count_records_by_class([rep.n for rep in reports])
+    return tuple(CrossCheckEntry(rep, *c) for rep, c in zip(reports, counts))

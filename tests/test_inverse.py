@@ -10,6 +10,7 @@ from collatzkit import (
     SubsetTag,
     classify,
     core,
+    cross_check_totals,
     generate_table,
     inverse,
     inverse_bfs,
@@ -19,6 +20,7 @@ from collatzkit import (
     table_to_csv,
     uniqueness_check,
 )
+from collatzkit.cli import main
 
 from literal import chain_caps, chain_caps_below, count_records_by_class, literal_bfs, records
 from paper_tables import CAP_1E6_GAPS, TABLE1, TABLE1_GREY, TABLE2, TABLE2_GREY
@@ -163,33 +165,55 @@ def test_record_counter_matches_the_row_walk():
         buckets = [0, 0, 0]
         for n2, _, _ in inverse._records(range(1, 3 * n + 2, 2), n):
             buckets[0 if n2 == 1 else 1 if n2 % 6 == 5 else 2] += 1
-        assert inverse._count_records_by_class([n], 0, 1) == [tuple(buckets)], n
-        # the interleaved parts of the rows sum to the same buckets
-        for parts in (2, 3):
-            counts = [inverse._count_records_by_class([n], part, parts)[0] for part in range(parts)]
-            assert [sum(c) for c in zip(*counts)] == buckets, (n, parts)
+        assert inverse._count_records_by_class([n]) == [tuple(buckets)], n
 
 
 # the cross-check's bounds N_k = (4^k - 1)/3, k = 2..12
 CROSS_CHECK_NS = [(4**k - 1) // 3 for k in range(2, 13)]
 
 
-def _summed_parts(ns, parts):
-    by_part = [inverse._count_records_by_class(ns, part, parts) for part in range(parts)]
-    return [tuple(map(sum, zip(*c))) for c in zip(*by_part)]
-
-
-@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("calls", [1, 2, 3])
 @pytest.mark.parametrize(
     "ns",
     # 5461 = N_7 is the n1 of row 1's record at x = 14
     [list(range(1, 400, 2)), CROSS_CHECK_NS, [1001], [5459, 5461, 5463]],
     ids=["odd-below-400", "cross-check", "single", "adjacent"],
 )
-def test_record_counter_serves_every_n_of_one_call(ns, parts):
-    # one pass over the columns of the largest n counts every n of the call,
-    # and the parts of that pass sum to the literal row walk's counts
-    assert _summed_parts(ns, parts) == [count_records_by_class(n) for n in ns]
+def test_record_counter_serves_every_n_of_one_call(ns, calls):
+    # one pass over the marks of the largest n counts every n of the call as
+    # the literal row walk does, whichever other n share the call: the ns
+    # are dealt into up to `calls` interleaved calls, each with its own
+    # largest n
+    got = {}
+    for c in range(min(calls, len(ns))):
+        got.update(zip(ns[c::calls], inverse._count_records_by_class(ns[c::calls])))
+    assert [got[n] for n in ns] == [count_records_by_class(n) for n in ns]
+
+
+def test_record_counter_agrees_at_the_window_edges():
+    # each N whose prefix of (N + 1) // 2 bytes ends one byte before, at or
+    # one byte past the end of the first or the second window
+    w = inverse.COUNT_WINDOW
+    ns = [2 * (j * w + d) - 1 for j in (1, 2) for d in (-1, 0, 1)]
+    assert [(n + 1) // 2 % w for n in ns] == [w - 1, 0, 1] * 2
+    expected = [count_records_by_class(n) for n in ns]
+    assert inverse._count_records_by_class(ns) == expected
+    assert [inverse._count_records_by_class([n])[0] for n in ns] == expected
+
+
+def test_record_counter_counts_no_class_for_a_record_marked_twice(monkeypatch, capsys):
+    # no real column overlaps another, so add a column that marks n1 = 3
+    # (row 5 at x = 1, index 1) a second time: its byte is a collision and
+    # counts in no class, so the 6i - 1 count of every k falls one short
+    # and the cross-check fails
+    real = inverse._columns
+    monkeypatch.setattr(inverse, "_columns", lambda bound: [*real(bound), (5, 1, slice(1, 2, 2))])
+    entries = cross_check_totals(6)
+    assert [e.opow_count for e in entries] == [e.totals.t_odd - 1 for e in entries]
+    assert [(e.root_row_count, e.epow_count) for e in entries] == [(e.totals.k_n, e.totals.t_even) for e in entries]
+    assert not any(e.counts_match for e in entries)
+    assert main(["cross-check", "--kmax", "6"]) == 1
+    assert capsys.readouterr().out.count("[MISMATCH]") == 5
 
 
 def test_record_counts_at_the_cross_check_bounds():

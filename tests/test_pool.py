@@ -73,12 +73,10 @@ def test_without_fork_every_call_runs_in_process(monkeypatch):
 
 
 # each pooled caller with the two sizes that straddle core.POOL_MIN_BOUND: the
-# sweep's bound, the cross-check's k_max (N_9 = 87,381 < POOL_MIN_BOUND <=
-# N_10 = 349,525) and the tree walk's value cap
+# sweep's bound and the tree walk's value cap
 BELOW_AND_AT = [core.POOL_MIN_BOUND - 1, core.POOL_MIN_BOUND]
 CALLERS = {
     "verify_forward": (verify, BELOW_AND_AT, lambda bound: verify_forward(bound).ok),
-    "cross_check_totals": (verify, [9, 10], lambda k_max: all(e.counts_match for e in cross_check_totals(k_max))),
     "cycle_scan": (verify, BELOW_AND_AT, lambda bound: cycle_scan(bound).ok),
     "inverse_bfs": (inverse, BELOW_AND_AT, lambda cap: inverse_bfs(1, cap, 4).reached == {1}),
 }
@@ -102,12 +100,18 @@ def test_every_caller_pools_from_the_one_threshold(monkeypatch, caller):
     assert widths == [1, 3]
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_cross_check_is_the_same_for_any_worker_count(monkeypatch, cpus):
-    serial = cross_check_totals(9)
-    _pool_everything(monkeypatch, cpus)
-    assert cross_check_totals(9) == serial
-    assert all(e.counts_match for e in serial)
+def test_the_cross_check_starts_no_process(monkeypatch):
+    # at k_max 12 (N = 5,592,405) on a pool that would start at any size
+    _pool_everything(monkeypatch, 2)
+
+    def start(*args, **kwargs):
+        pytest.fail("a child process was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", start)
+    monkeypatch.setattr(os, "fork", start)
+    entries = cross_check_totals(12)
+    assert [e.totals.k_n for e in entries] == list(range(2, 13))
+    assert all(e.counts_match for e in entries)
 
 
 @pytest.mark.parametrize("cpus,budget", [(1, 50_000), (2, 1), (2, 50_000), (3, 7)])
@@ -143,7 +147,6 @@ _real_kernel = None
     "module,kernel,call",
     [
         (inverse, "_walk", lambda: inverse_bfs(999, 10**5, 60)),
-        (verify, "_count_records_by_class", lambda: cross_check_totals(6)),
         (verify, "_sweep_block", lambda: verify_forward(10_001, shards=2)),
     ],
 )
@@ -203,7 +206,6 @@ def _die_in_a_worker(*args, **kwargs):
     "module,kernel,call",
     [
         (inverse, "_walk", lambda: inverse_bfs(999, 10**5, 60)),
-        (verify, "_count_records_by_class", lambda: cross_check_totals(6)),
         (verify, "_sweep_block", lambda: verify_forward(10_001)),
     ],
 )
