@@ -49,22 +49,31 @@ def _require_odd(n: int, name: str = "n", minimum: int = 1) -> None:
 POOL_MIN_BOUND = 300_000
 
 
+def _cpus() -> int:
+    # the CPUs this process may run on, which taskset or a cpuset can make
+    # fewer than the machine's
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @contextlib.contextmanager
 def _pool(most: int | None, size: int) -> Iterator[tuple[int, Callable[..., list]]]:
-    """(workers, run) for a job of `size`: workers = min(most, CPUs), most=None
-    for one per CPU, and 1 below POOL_MIN_BOUND or without fork (the threshold
-    was fitted for it). run(f, *iterables) is list-returning, like the
-    builtin map: task i goes to worker i % workers, and the results come
-    back in order of submission. Worker 0 is the calling process; each of
-    the others is a forked child, sent its whole share in one message
-    before the caller starts on its own.
+    """(workers, run) for a job of `size`: workers = min(most, CPUs), CPUs
+    those this process may use (_cpus) and most=None for one per CPU, and 1
+    below POOL_MIN_BOUND or without fork (the threshold was fitted for it).
+    run(f, *iterables) is list-returning, like the builtin map: task i goes
+    to worker i % workers, and the results come back in order of
+    submission. Worker 0 is the calling process; each of the others is a
+    forked child, sent its whole share in one message before the caller
+    starts on its own.
 
     The children live as long as the with block, so a caller with several
     rounds of tasks forks them once. A task's exception is raised in the
     caller, and a child that dies raises ChildProcessError there. On
     leaving the block, either way, every child is stopped and reaped.
     """
-    cpus = os.cpu_count() or 1
+    cpus = _cpus()
     workers = min(most or cpus, cpus) if size >= POOL_MIN_BOUND else 1
     try:
         ctx = multiprocessing.get_context("fork")

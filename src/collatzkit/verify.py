@@ -16,16 +16,17 @@ jumps straight to T^k(n) and is walked on from there, the next start's
 T^k 3^c more, in one kernel call for all the classes of a block.
 
 The walk itself moves K = WINDOW_BITS steps of T at a time where it can
-(Oliveira e Silva 2010). The same expansion gives, for each residue
-b = w mod 2^K, T^K(2^K*a + b) = 3^c*a + d after K + c single steps, and
-the least ratio 3^(c_i)/2^i over its first i <= K steps, where c_i counts
-the odd values among the first i. Since T(m) >= m/2, with (3m+1)/2 > 3m/2
-for odd m, every T^i(w) is at least 3^(c_i)*w/2^i. So when w times that
-least ratio, num/2^K, exceeds n (w*num > n*2^K, in integers), every value
-in the window, and each 3m+1 between, is above n: the window cannot hold
-the drop below n or a return to n, so it is taken whole, and a step
-budget that runs out inside it runs out before either. Otherwise the walk
-takes one odd step and its halving run, and finds those exactly.
+(Oliveira e Silva 2010). Its table walks each residue b = w mod 2^K for K
+steps: 2^K*a + b takes b's parities for those steps, so T^K(2^K*a + b) =
+3^c*a + T^K(b) after K + c single steps, and the walk also gives the least
+ratio 3^(c_i)/2^i over the first i <= K steps, where c_i counts the odd
+values among the first i. Since T(m) >= m/2, with (3m+1)/2 > 3m/2 for odd
+m, every T^i(w) is at least 3^(c_i)*w/2^i. So when w times that least
+ratio, num/2^K, exceeds n (w*num > n*2^K, in integers), every value in the
+window, and each 3m+1 between, is above n: the window cannot hold the drop
+below n or a return to n, so it is taken whole, and a step budget that
+runs out inside it runs out before either. Otherwise the walk takes one
+odd step and its halving run, and finds those exactly.
 
 The paper's predecessor rows n1 = (2^x*n2 - 1)/3 sieve the surviving
 starts once more. An odd n = 6j + 5 is the odd successor of its ancestor
@@ -60,23 +61,24 @@ cannot see.
 from __future__ import annotations
 
 import functools
-import os
 import time
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import itemgetter
 
+from . import core
 from .core import DEFAULT_MAX_STEPS, Trajectory, _pool, _require_odd, _require_positive_int, step
 from .counting import totals, TotalsReport
 from .inverse import _count_records_by_class
 from .ranges import range_step
 
-# Deeper tables sieve more starts but cost more to build and scan. The
-# sieve took 0.121, 0.226 and 0.420 s to build at depths 22, 23 and 24, and
-# depths 23 and 24 ran verify_forward(1e9) in 5.16 and 4.73 s against
-# 5.30 s at 22 (2 cores, Python 3.11.7). A deeper cap needs CI to pin the
-# survivor counts of its new depths.
+# Deeper tables sieve more starts but cost more to build and scan. Measured
+# in one session (2 cores, Python 3.11.7, medians of 7 fresh processes,
+# interleaved), the sieve took 0.16, 0.37 and 0.66 s to build at depths 22,
+# 23 and 24. In an earlier session, depths 23 and 24 ran
+# verify_forward(1e9) in 5.16 and 4.73 s against 5.30 s at 22. A deeper cap
+# needs CI to pin the survivor counts of its new depths.
 SIEVE_MAX_DEPTH = 22
 # The walk's window, in steps of T. For the 179,210 starts walked below 1e7
 # at depth 16, _walk_class took 0.122, 0.118, 0.117, 0.117 and 0.126 s with
@@ -155,6 +157,12 @@ def _sieve(depth: int) -> tuple[tuple[array, ...], tuple[array, ...]]:
     (r, 3^c, v, steps) is a class n = 2^depth*a + r that still has
     3^c > 2^j at every j <= depth: T^depth(n) = 3^c*a + v after `steps`
     single steps, and every value on the way there exceeds n.
+
+    A completed build so proves sigma(n) = tau(n), the first j with
+    T^j(n) < n and the first with 3^c < 2^j, for every n >= 2 with
+    tau(n) <= depth: n is in the exit class mod 2^tau(n) whose check
+    T^j(r) < r passed (or in (4, 1), with n > 1), and each T^i(n) with
+    0 < i < tau(n) is at least 3^(c_i)*n/2^i > n.
     """
     exits = tuple(array("q") for _ in range(3))
     survivors = tuple(array("q") for _ in range(4))
@@ -162,33 +170,23 @@ def _sieve(depth: int) -> tuple[tuple[array, ...], tuple[array, ...]]:
     # j = 1: n = 2a + 1 gives T(n) = 3a + 2
     stack = [(1, 1, 3, 2, 2)]
     while stack:
-        node = stack.pop()
-        if node[0] == depth:
-            _append(survivors, *node[1:])
+        j, r, c3, v, steps = stack.pop()
+        if j == depth:
+            _append(survivors, r, c3, v, steps)
             continue
-        for child in _children(*node):
-            j, r, c3, v, steps = child
-            mod = 1 << j
-            if c3 < mod:
-                # T^j(n) = c3*b + v < n for every b >= 0 once v < r
-                if v >= r and (mod, r) != (4, 1):
-                    raise AssertionError(f"class {r} mod {mod} does not descend from its residue")
-                _append(exits, mod, r, steps)
+        # the two classes mod 2^(j+1) inside n = 2^j*a + r: n = 2^(j+1)*b + r2
+        # gives T^j(n) = 2*c3*b + u, and one more step of T halves or triples it
+        mod = 2 << j
+        for r2, u in ((r, v), (r + (1 << j), v + c3)):
+            c, w, s = (3 * c3, (3 * u + 1) >> 1, steps + 2) if u & 1 else (c3, u >> 1, steps + 1)
+            if c < mod:
+                # T^(j+1)(n) = c*b + w < n for every b >= 0 once w < r2
+                if w >= r2 and (mod, r2) != (4, 1):
+                    raise AssertionError(f"class {r2} mod {mod} does not descend from its residue")
+                _append(exits, mod, r2, s)
             else:
-                stack.append(child)
+                stack.append((j + 1, r2, c, w, s))
     return exits, survivors
-
-
-def _children(j: int, r: int, c3: int, v: int, steps: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """The two classes mod 2^(j+1) inside the class n = 2^j*a + r, where
-    T^j(n) = c3*a + v after `steps` single steps, each as (j + 1, r2, c3_,
-    v_, steps_) with T^(j+1)(n) = c3_*b + v_ for n = 2^(j+1)*b + r2."""
-    # n = 2^(j+1)*b + r2 gives T^j(n) = 2*c3*b + u
-    for r2, u in ((r, v), (r + (1 << j), v + c3)):
-        if u & 1:
-            yield j + 1, r2, 3 * c3, (3 * u + 1) >> 1, steps + 2
-        else:
-            yield j + 1, r2, c3, u >> 1, steps + 1
 
 
 def _window_table(k: int) -> tuple[tuple[int, int, int, int], ...]:
@@ -197,18 +195,18 @@ def _window_table(k: int) -> tuple[tuple[int, int, int, int], ...]:
     num/2^k = p/2^s = 3^(c_i)/2^i the least over i <= k, where c_i counts
     the odd values among the first i steps: every T^i(w) is at least
     w*num/2^k, so w*num > n << k holds exactly when w*p > n << s."""
-    rows = [None] * (1 << k)
-    # j = 0: T^0(a) = a, and the least ratio so far is 3^0/2^0
-    stack = [((0, 0, 1, 0, 0), 1, 0)]
-    while stack:
-        node, p, s = stack.pop()
-        j, r, c3, v, steps = node
-        if c3 << s < p << j:
-            p, s = c3, j
-        if j == k:
-            rows[r] = (p << (k - s), c3, v, steps)
-        else:
-            stack.extend((child, p, s) for child in _children(*node))
+    rows = []
+    for b in range(1 << k):
+        # 2^k*a + b takes b's parities for k steps, so walking b gives 3^c and d
+        x, c3, steps, p, s = b, 1, k, 1, 0
+        for i in range(1, k + 1):
+            if x & 1:
+                x, c3, steps = (3 * x + 1) >> 1, 3 * c3, steps + 1
+            else:
+                x >>= 1
+            if c3 << s < p << i:
+                p, s = c3, i
+        rows.append((p << (k - s), c3, x, steps))
     return tuple(rows)
 
 
@@ -367,12 +365,13 @@ def verify_forward(
 ) -> VerifyReport:
     """Confirm by descent every odd start <= bound.
 
-    Work runs on at most `shards` workers (default: one per CPU), one
-    contiguous block each. The report is byte-identical for any shard
-    count, apart from the shard count it echoes; only wall_time moves.
+    Work runs on at most `shards` workers (default: one per CPU this
+    process may use), one contiguous block each. The report is
+    byte-identical for any shard count, apart from the shard count it
+    echoes; only wall_time moves.
     """
     if shards is None:
-        shards = os.cpu_count() or 1
+        shards = core._cpus()
     t0 = time.perf_counter()
     verified, failures, max_used = _sweep(bound, max_steps, shards)
     return VerifyReport(

@@ -1,5 +1,6 @@
 """Command line behavior: output formats, exit codes, stability."""
 
+import dataclasses
 import io
 import itertools
 import json
@@ -90,6 +91,16 @@ def test_totals_json(capsys):
     assert reports[0]["T"] == 3
     assert reports[0]["identityHolds"] is True
     assert set(reports[0]) == {"kN", "N", "To", "Te", "T", "bruteCount", "identityHolds"}
+
+
+def test_totals_mismatch_exits_one(capsys, monkeypatch):
+    # the closed form never misses, so a report that disagrees with its
+    # brute count is faked for k = 3: that row says so and the run fails
+    real = cli.totals
+    monkeypatch.setattr(cli, "totals", lambda k: dataclasses.replace(real(k), identity_holds=k != 3))
+    code, out = run_cli(capsys, "totals", "--kmax", "4")
+    assert code == 1
+    assert [line.endswith("[MISMATCH]") for line in out.splitlines()] == [False, True, False]
 
 
 def test_seq_json(capsys):

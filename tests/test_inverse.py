@@ -1,7 +1,5 @@
 """Inverse recurrence: classification, predecessor records, tables, tree walk."""
 
-import os
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -398,7 +396,7 @@ def test_pooled_inverse_bfs_matches_literal_bfs(monkeypatch, cpus, bound, value_
     # every cap pools on more than one CPU, in rounds of at most `budget`
     # nodes per part; budget 1 only where the rounds stay few enough to run
     reached, unreached, expanded = literal_bfs(bound, value_cap, x_max)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(core, "_cpus", lambda: cpus)
     monkeypatch.setattr(core, "POOL_MIN_BOUND", 1)
     for budget in (1, 1000, inverse.WALK_BUDGET):
         if expanded > 5000 * budget:

@@ -17,7 +17,7 @@ from collatzkit.cli import main
 
 def _pool_everything(monkeypatch, cpus, budget=inverse.WALK_BUDGET):
     # with cpus > 1, every call in this file runs on the pool
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(core, "_cpus", lambda: cpus)
     monkeypatch.setattr(core, "POOL_MIN_BOUND", 1)
     monkeypatch.setattr(inverse, "WALK_BUDGET", budget)
 
@@ -47,10 +47,32 @@ CLI_CALLS = [
     [(None, None, 1), (1, None, 1), (1, 4, 1), (3, None, 3), (3, 2, 2), (3, 5, 3), (3, 1, 1)],
 )
 def test_pool_width_is_at_most_one_worker_per_cpu(monkeypatch, cpus, most, width):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    # `cpus` usable of a machine's 8, or with cpus=None a platform that
+    # reports neither an affinity nor a CPU count
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
     with core._pool(most, core.POOL_MIN_BOUND) as (workers, run):
         assert workers == width
         assert run(pow, [2, 3, 5], [3, 2, 1]) == [8, 9, 5]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_an_affinity_of_one_cpu_gives_one_worker():
+    # the machine's CPU count is no bound on the pool; the CPUs this process
+    # may run on are
+    usable = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(usable)})
+    try:
+        with core._pool(None, 10**7) as (workers, _):
+            assert workers == 1
+        assert verify_forward(core.POOL_MIN_BOUND).shards == 1
+    finally:
+        os.sched_setaffinity(0, usable)
     assert multiprocessing.active_children() == []
 
 
@@ -85,7 +107,7 @@ CALLERS = {
 @pytest.mark.parametrize("caller", sorted(CALLERS))
 def test_every_caller_pools_from_the_one_threshold(monkeypatch, caller):
     module, sizes, call = CALLERS[caller]
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(core, "_cpus", lambda: 3)
     widths = []
     real_pool = core._pool
 
@@ -165,7 +187,7 @@ def _where(i):
 
 @pytest.mark.parametrize("tasks", [0, 1, 2, 5, 7])
 def test_run_deals_task_i_to_worker_i_mod_workers_and_returns_in_order(monkeypatch, tasks):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(core, "_cpus", lambda: 3)
     with core._pool(None, core.POOL_MIN_BOUND) as (workers, run):
         assert workers == 3
         results = run(_where, range(tasks))

@@ -5,27 +5,40 @@ Only the tables come from collatzkit. T comes from tests/literal.py; its
 step counts and the bound every row claims are recomputed one step at a time.
 """
 
-from collatzkit.verify import _WINDOW, _sieve
+import pytest
+
+from collatzkit.verify import SIEVE_MAX_DEPTH, _WINDOW, _sieve, _window_table
 
 from literal import T
 
-K = len(_WINDOW).bit_length() - 1
+
+def _check_window(window, k):
+    assert len(window) == 1 << k
+    for b, (num, c3, d, steps) in enumerate(window):
+        for a in (0, 1, 2, 2**40 + 3):
+            w = (a << k) + b
+            v, single, least = w, 0, 1 << k
+            for i in range(1, k + 1):
+                # the guard: T^i(w) >= w*num/2^k at every i <= k
+                assert v << k >= w * num, (k, b, a)
+                single += 2 if v % 2 else 1
+                v = T(v)
+                # num/2^k is the least 3^(c_i)/2^i, c_i = single - i odd steps
+                least = min(least, 3 ** (single - i) << (k - i))
+            assert v << k >= w * num and num == least, (k, b, a)
+            # T^k(w) = 3^c*a + d after k + c single steps
+            assert (c3, c3 * a + d, steps) == (3 ** (single - k), v, single), (k, b, a)
 
 
 def test_window_rows_match_a_literal_walk():
-    assert K >= 1 and len(_WINDOW) == 1 << K
-    for b, (num, c3, d, steps) in enumerate(_WINDOW):
-        for a in (0, 1, 2, 2**40 + 3):
-            w = (a << K) + b
-            v, single = w, 0
-            for _ in range(K):
-                # the guard: T^i(w) >= w*num/2^K at every i <= K
-                assert v << K >= w * num, (b, a)
-                single += 2 if v % 2 else 1
-                v = T(v)
-            assert v << K >= w * num, (b, a)
-            # T^K(w) = 3^c*a + d after K + c single steps
-            assert (c3, c3 * a + d, steps) == (3 ** (single - K), v, single), (b, a)
+    k = len(_WINDOW).bit_length() - 1
+    assert k >= 1
+    _check_window(_WINDOW, k)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_window_table_matches_a_literal_walk_at_every_width(k):
+    _check_window(_window_table(k), k)
 
 
 # the classes mod 2^k whose coefficient 3^c stays above 2^j at every
@@ -63,3 +76,39 @@ def test_sieve_survivors_match_a_literal_walk():
                 m = T(m)
             # T^k(2^k*a + r) = 3^c*a + T^k(r) after k + c single steps
             assert (c3, v, steps) == (3**c, m, k + c), (k, r)
+
+
+@pytest.mark.parametrize("depth", range(1, SIEVE_MAX_DEPTH + 1))
+def test_sieve_exits_and_survivors_partition_the_odd_residues(depth):
+    # an exit mod 2^j holds 2^(depth - j) odd residues mod 2^depth, and a
+    # survivor one; together they hold 2^(depth - 1), and each odd residue
+    # r, marked at byte r >> 1, is held by one of them
+    exits, survivors = _sieve(depth)
+    held = sum(1 << (depth - mod.bit_length() + 1) for mod in exits[0]) + len(survivors[0])
+    assert held == 1 << (depth - 1)
+    marks = bytearray(held)
+    for mod, r in zip(exits[0], exits[1]):
+        marks[r >> 1 :: mod >> 1] = b"\1" * (1 << (depth - mod.bit_length() + 1))
+    for r in survivors[0]:
+        marks[r >> 1] = 1
+    assert marks.count(1) == held
+
+
+@pytest.mark.parametrize("depth", range(1, 15))
+def test_sieve_classes_match_a_literal_classification(depth):
+    # each odd residue r mod 2^depth by its own walk of T: the exit class of
+    # its stopping depth j, (2^j, r mod 2^j, j + c), or its surviving row
+    exits, survivors = set(), set()
+    for r in range(1, 1 << depth, 2):
+        j = stopping_depth(r, depth)
+        m, c = r, 0
+        for _ in range(min(j, depth)):
+            c += m % 2
+            m = T(m)
+        if j > depth:
+            survivors.add((r, 3**c, m, depth + c))
+        else:
+            exits.add((2**j, r % 2**j, j + c))
+    got_exits, got_survivors = (list(zip(*table)) for table in _sieve(depth))
+    assert set(got_exits) == exits and len(got_exits) == len(exits)
+    assert set(got_survivors) == survivors and len(got_survivors) == len(survivors)
