@@ -135,13 +135,11 @@ def _cmd_verify_inverse(args: argparse.Namespace) -> Output:
         return ok, [json.dumps(report.to_dict())]
     lines = [
         f"bound={report.bound} cap={report.value_cap} xmax={report.x_max} "
-        f"reached={len(report.reached)} unreached={len(report.unreached)} "
-        f"expanded={report.nodes_expanded}",
+        f"reached={report.reached_count} unreached={len(report.unreached)} expanded={report.nodes_expanded}",
         "note: the pair (n2=1, x=2) maps 1 to itself and is never expanded",
     ]
     if report.unreached:
-        missing = sorted(report.unreached)
-        lines.append(f"unreached: {missing[:20]}{' ...' if len(missing) > 20 else ''}")
+        lines.append(f"unreached: {list(report.unreached[:20])}{' ...' if len(report.unreached) > 20 else ''}")
     return ok, lines
 
 

@@ -303,30 +303,33 @@ def uniqueness_check(bound: int) -> UniquenessReport:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Which odd numbers <= bound the inverse tree walk from 1 visited.
+    """The gaps of the inverse tree walk from 1: unreached holds, ascending,
+    the odd numbers <= bound it did not visit.
 
     The inverse tree is infinite, so the walk is truncated explicitly: no
     value above value_cap is ever pushed and no exponent above x_max is
-    tried. Anything unreached may simply be a truncation artifact.
-    nodes_expanded counts every value of the truncated tree, those above
-    bound included.
+    tried, so a gap may simply be a truncation artifact. nodes_expanded
+    counts every value of the truncated tree, those above bound included.
     """
 
     bound: int
     value_cap: int
     x_max: int
-    reached: frozenset[int]
-    unreached: frozenset[int]
+    unreached: tuple[int, ...]
     nodes_expanded: int
+
+    @property
+    def reached_count(self) -> int:
+        return (self.bound + 1) // 2 - len(self.unreached)
 
     def to_dict(self) -> dict:
         return {
             "bound": self.bound,
             "value_cap": self.value_cap,
             "x_max": self.x_max,
-            "reached_count": len(self.reached),
+            "reached_count": self.reached_count,
             "unreached_count": len(self.unreached),
-            "unreached": sorted(self.unreached),
+            "unreached": list(self.unreached),
             "nodes_expanded": self.nodes_expanded,
         }
 
@@ -409,7 +412,6 @@ def inverse_bfs(bound: int, value_cap: int, x_max: int) -> CoverageReport:
         bound=bound,
         value_cap=value_cap,
         x_max=x_max,
-        reached=frozenset(2 * i + 1 for i, hit in enumerate(reached) if hit),
-        unreached=frozenset(2 * i + 1 for i, hit in enumerate(reached) if not hit),
+        unreached=tuple(2 * i + 1 for i, hit in enumerate(reached) if not hit),
         nodes_expanded=expanded,
     )

@@ -105,10 +105,57 @@ MUTANTS = (
         ("test_inverse.py",),
         "the record counter's prefix for n ends one byte long",
     ),
+    # the tree walk, inverse.inverse_bfs and inverse._walk
+    Mutant(
+        "inverse.py", "if 2 < x <= x_max]", "if 2 < x < x_max]", ("test_inverse.py",),
+        "the root's record at x = x_max is not pushed",
+    ),
+    Mutant(
+        "inverse.py", "(3 * value_cap + 1) >> x_max", "(3 * value_cap + 1) >> (x_max - 1)", ("test_inverse.py",),
+        "some rows stop at their exponent cap, above value_cap, instead of at value_cap",
+    ),
+    Mutant(
+        "inverse.py", "(self.bound + 1) // 2 - len(self.unreached)", "self.bound // 2 - len(self.unreached)",
+        ("test_inverse.py",),
+        "an odd bound is left out of the odds that the reached count is taken from",
+    ),
+    # the verdicts of the reports
+    Mutant(
+        "verify.py", "return not self.failures", "return True", ("test_cli.py",),
+        "a sweep with failed starts passes",
+    ),
+    Mutant(
+        "verify.py", "return not self.undecided and ", "return ", ("test_cli.py",),
+        "a cycle scan with undecided starts passes",
+    ),
+    Mutant(
+        "verify.py", " and [c.values for c in self.cycles] == [(1, 4, 2, 1)]", "", ("test_cli.py",),
+        "a cycle scan that does not find exactly the cycle 1, 4, 2 passes",
+    ),
+    Mutant(
+        "inverse.py", "return not self.violations and ", "return ", ("test_inverse.py",),
+        "a uniqueness scan with two sources of one n1 passes",
+    ),
+    Mutant(
+        "inverse.py", " and self.records_checked == self.records_expected", "", ("test_inverse.py",),
+        "a uniqueness scan that misses records passes",
+    ),
     # the command line, cli
     Mutant(
         "cli.py", "return 0 if ok else CHECK_FAILED", "return 0", ("test_cli.py",),
         "a failed check exits 0",
+    ),
+    Mutant(
+        "cli.py", "return t.terminated, lines", "return True, lines", ("test_cli.py",),
+        "seq exits 0 on a chain that runs out of its step budget",
+    ),
+    Mutant(
+        "cli.py", "ok = not (trace.stalled and trace.states[trace.stall_index].p_n > 3)", "ok = True", ("test_cli.py",),
+        "range-iter exits 0 on a stall at p > 3",
+    ),
+    Mutant(
+        "cli.py", "ok = not report.unreached", "ok = True", ("test_cli.py",),
+        "verify-inverse exits 0 with coverage gaps",
     ),
     Mutant(
         "cli.py", "ok = all(r.identity_holds for r in reports)", "ok = True", ("test_cli.py",),
@@ -140,5 +187,10 @@ EQUIVALENT = (
     Equivalent(
         "verify.py", "u += e if n << e > x else e + 1", "u += e if n << e >= x else e + 1",
         "x = s*2^t with s and n odd, so n*2^e == x would force s == n, but the drop branch has s < n",
+    ),
+    Equivalent(
+        "inverse.py", "quarter = (value_cap - 1) // 4", "quarter = value_cap // 4",
+        "every row's lim is at most value_cap and `while n1 <= lim` rejects a sibling above it, "
+        "so a looser gate only runs that test once more",
     ),
 )

@@ -179,12 +179,13 @@ def test_criterion_10_inverse_coverage():
     doubled = inverse_bfs(10**4, 2 * 10**6, 120)
     full = inverse_bfs(10**4, full_cap, 60)
     elapsed = time.perf_counter() - t0
-    exact_gaps = base.unreached == predicted
-    stable = base.reached == doubled.reached
-    full_coverage = full.unreached == frozenset()
+    exact_gaps = base.unreached == tuple(sorted(predicted))
+    # at one bound the reached set is the odds outside the gaps
+    stable = base.unreached == doubled.unreached
+    full_coverage = full.unreached == ()
     ok &= full.nodes_expanded == FULL_COVERAGE_NODES
     ok &= exact_gaps and stable and full_coverage and elapsed < 60.0
-    missing = sorted(base.unreached)
+    missing = list(base.unreached)
     report(
         10,
         ok,
@@ -196,6 +197,6 @@ def test_criterion_10_inverse_coverage():
     assert ok, (
         f"unreached at cap 1e6: {missing}, oracle predicts {sorted(predicted)}; "
         f"reached set stable when caps double: {stable}; "
-        f"unreached at cap {full_cap}: {sorted(full.unreached)}; "
+        f"unreached at cap {full_cap}: {list(full.unreached)}; "
         f"nodes expanded at cap {full_cap}: {full.nodes_expanded}"
     )

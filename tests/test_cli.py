@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from collatzkit import DEFAULT_MAX_STEPS, cli, inverse
+from collatzkit import DEFAULT_MAX_STEPS, cli, inverse, ranges
 from collatzkit.cli import build_parser, main
 
 TABLE2_CSV = """n2,x,n1,class,generates
@@ -84,6 +84,21 @@ def test_range_iter_stall_at_p3_is_expected(capsys):
     assert "stalled" in out
 
 
+def test_range_iter_stall_above_p3_exits_one(capsys, monkeypatch):
+    # every step at p > 3 grows, so one that does not is faked for N = 25
+    # (p = 13): the run stops there, says so and fails
+    real = ranges.range_step
+    monkeypatch.setattr(
+        ranges, "range_step", lambda n: dataclasses.replace(real(n), chosen=n, growth=0) if n == 25 else real(n)
+    )
+    code, out = run_cli(capsys, "range-iter", "--start", "19", "--iters", "5")
+    assert code == 1
+    assert out.splitlines()[-1] == "stalled at index 1"
+    code, out = run_cli(capsys, "range-iter", "--start", "19", "--iters", "5", "--format", "json")
+    assert code == 1
+    assert [json.loads(line)["growth"] for line in out.splitlines()] == [6, 0]
+
+
 def test_totals_json(capsys):
     code, out = run_cli(capsys, "totals", "--kmax", "2", "--format", "json")
     assert code == 0
@@ -149,6 +164,18 @@ def test_verify_inverse(capsys):
     assert report["unreached"] == []
 
 
+@pytest.mark.parametrize("fmt,gap", [("text", "unreached: [27]"), ("json", '"unreached": [27]')])
+def test_verify_inverse_gap_exits_one(capsys, fmt, gap):
+    # 27's chain climbs to 9232 = 3*3077 + 1: a cap of 1000 leaves 27 a gap
+    args = ["verify-inverse", "--bound", "29", "--x-max", "20", "--format", fmt]
+    code, out = run_cli(capsys, *args, "--value-cap", "1000")
+    assert code == 1
+    assert gap in out
+    code, out = run_cli(capsys, *args, "--value-cap", "9232")
+    assert code == 0
+    assert gap not in out
+
+
 def test_cycle_scan_ok(capsys):
     code, out = run_cli(capsys, "cycle-scan", "--bound", "100", "--format", "json")
     assert code == 0
@@ -161,6 +188,16 @@ def test_cycle_scan_ok(capsys):
 )
 def test_step_budget_defaults_to_the_library_default(argv):
     assert build_parser().parse_args(argv).max_steps == DEFAULT_MAX_STEPS
+
+
+def test_cycle_scan_without_the_terminal_cycle_exits_one(capsys, monkeypatch):
+    # every scan finds 1 -> 4 -> 2, so one that misses it is faked: it
+    # leaves no start undecided, and the run still fails
+    real = cli.cycle_scan
+    monkeypatch.setattr(cli, "cycle_scan", lambda *a: dataclasses.replace(real(*a), cycles=()))
+    code, out = run_cli(capsys, "cycle-scan", "--bound", "100")
+    assert code == 1
+    assert out == "0 cycle(s) found\n"
 
 
 def test_cycle_scan_budget_too_small_fails(capsys):

@@ -1,5 +1,7 @@
 """Inverse recurrence: classification, predecessor records, tables, tree walk."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -275,6 +277,30 @@ def test_uniqueness_reports_every_collision(monkeypatch):
     assert not report.ok
 
 
+def test_uniqueness_fails_on_either_clause_alone(monkeypatch):
+    # a collision fails the scan with the expected record count: 5 and 9
+    # have two sources each, 13 and 15 none, and the count is 8 all the same
+    real = inverse._columns
+    columns = [
+        (5, 1, slice(1, 6, 2)),  # rows 5, 11, 17 at x = 1: n1 = 3, 7, 11
+        (1, 4, slice(2, 3, 16)),  # n1 = 5
+        (7, 2, slice(4, 9, 4)),  # rows 7, 13 at x = 2: n1 = 9, 17
+        (99, 3, slice(2, 3, 8)),  # n1 = 5
+        (43, 1, slice(4, 5, 2)),  # n1 = 9
+    ]
+    monkeypatch.setattr(inverse, "_columns", lambda bound: iter(columns))
+    report = uniqueness_check(17)
+    assert report.records_checked == report.records_expected == 8
+    assert [n1 for n1, _ in report.violations] == [5, 9]
+    assert not report.ok
+    # and a missed column fails it with no collision
+    monkeypatch.setattr(inverse, "_columns", lambda bound: itertools.islice(real(bound), 1, None))
+    report = uniqueness_check(1001)
+    assert report.violations == ()
+    assert report.records_checked < report.records_expected
+    assert not report.ok
+
+
 def test_duality_exhaustive_small():
     # every record inverts through odd_successor, n1 <= 2000
     for n1 in range(1, 2001, 2):
@@ -319,28 +345,29 @@ def test_grey_mark_law(seed, x):
 
 def test_inverse_bfs_reaches_small_range():
     report = inverse_bfs(29, 10**4, 40)
-    assert set(range(1, 30, 2)) <= report.reached
-    assert report.unreached == frozenset()
+    assert report.unreached == ()
+    assert report.reached_count == 15
 
 
 def test_inverse_bfs_root_only():
     report = inverse_bfs(1, 1, 1)
-    assert report.reached == {1}
-    assert report.unreached == frozenset()
+    assert report.unreached == ()
+    assert report.reached_count == 1
     assert report.nodes_expanded == 1
 
 
 def test_inverse_bfs_reaches_27():
     report = inverse_bfs(27, 10**4, 40)
-    assert 27 in report.reached
+    assert 27 not in report.unreached
 
 
 def test_inverse_bfs_monotone_in_caps():
     base = inverse_bfs(99, 10**3, 10)
     wider = inverse_bfs(99, 2 * 10**3, 10)
     taller = inverse_bfs(99, 10**3, 20)
-    assert base.reached <= wider.reached
-    assert base.reached <= taller.reached
+    # at one bound, reaching a superset is leaving a subset of the gaps
+    assert set(wider.unreached) <= set(base.unreached)
+    assert set(taller.unreached) <= set(base.unreached)
 
 
 def test_inverse_bfs_validates_caps():
@@ -349,10 +376,11 @@ def test_inverse_bfs_validates_caps():
 
 
 def test_coverage_partition():
+    # the gaps are distinct odds <= bound, ascending, and the rest is reached
     report = inverse_bfs(99, 10**3, 10)
-    union = report.reached | report.unreached
-    assert union == set(range(1, 100, 2))
-    assert not (report.reached & report.unreached)
+    assert report.unreached
+    assert list(report.unreached) == sorted(set(report.unreached) & set(range(1, 100, 2)))
+    assert report.reached_count + len(report.unreached) == 50
 
 
 LITERAL_GRID = [
@@ -385,8 +413,8 @@ LITERAL_GRID = [
 def test_inverse_bfs_matches_literal_bfs(bound, value_cap, x_max):
     report = inverse_bfs(bound, value_cap, x_max)
     reached, unreached, expanded = literal_bfs(bound, value_cap, x_max)
-    assert report.reached == reached
-    assert report.unreached == unreached
+    assert report.reached_count == len(reached)
+    assert report.unreached == tuple(sorted(unreached))
     assert report.nodes_expanded == expanded
 
 
@@ -403,8 +431,8 @@ def test_pooled_inverse_bfs_matches_literal_bfs(monkeypatch, cpus, bound, value_
             continue
         monkeypatch.setattr(inverse, "WALK_BUDGET", budget)
         report = inverse_bfs(bound, value_cap, x_max)
-        assert report.reached == reached
-        assert report.unreached == unreached
+        assert report.reached_count == len(reached)
+        assert report.unreached == tuple(sorted(unreached))
         assert report.nodes_expanded == expanded
 
 
@@ -431,7 +459,7 @@ def test_inverse_bfs_gaps_match_forward_oracle_at_thresholds(value_cap, x_max, e
         if peak > value_cap or run > x_max
     }
     assert predicted == expected
-    assert inverse_bfs(10**4, value_cap, x_max).unreached == expected
+    assert inverse_bfs(10**4, value_cap, x_max).unreached == tuple(sorted(expected))
 
 
 def test_chain_caps_of_9663():

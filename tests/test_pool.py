@@ -100,7 +100,7 @@ BELOW_AND_AT = [core.POOL_MIN_BOUND - 1, core.POOL_MIN_BOUND]
 CALLERS = {
     "verify_forward": (verify, BELOW_AND_AT, lambda bound: verify_forward(bound).ok),
     "cycle_scan": (verify, BELOW_AND_AT, lambda bound: cycle_scan(bound).ok),
-    "inverse_bfs": (inverse, BELOW_AND_AT, lambda cap: inverse_bfs(1, cap, 4).reached == {1}),
+    "inverse_bfs": (inverse, BELOW_AND_AT, lambda cap: inverse_bfs(1, cap, 4).unreached == ()),
 }
 
 

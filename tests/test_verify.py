@@ -83,6 +83,7 @@ def test_sieved_sweep_matches_oracle_to_1e6(max_steps):
     expected = oracle_sweep(1, 10**6 + 1, max_steps)
     report = verify_forward(10**6, max_steps, shards=1)
     assert (report.verified, list(report.failures), report.max_steps_used) == expected
+    assert report.ok == (not expected[1])
     # split as _sweep splits it for 1, 3 and 16 shards, at an odd depth and
     # an even one: a skipped start's ancestor may fail in an earlier block
     for blocks in (1, 3, 16):
@@ -490,8 +491,8 @@ def test_forward_inverse_agreement_small_bounds():
         # the largest value on any chain is 3m + 1 for its largest odd m
         peak = 3 * max(p for p, _ in chain_caps_below(bound).values()) + 1
         cov = inverse_bfs(bound, 10 * peak, 60)
-        assert cov.unreached == frozenset()
-        assert cov.reached == set(range(1, bound + 1, 2))
+        assert cov.unreached == ()
+        assert cov.reached_count == (bound + 1) // 2
 
 
 def test_verify_report_wall_time_positive():
